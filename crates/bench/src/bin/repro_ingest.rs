@@ -16,9 +16,12 @@
 //! change every round, so the fingerprint cache never hits — the delta
 //! path must still be at least as fast as the plain parser (speedup ≥
 //! 1.0x) and must not allocate more than the baseline plus a small
-//! constant. This is the regression bar: the streaming no-DOM rebuild
-//! path means a full-churn round costs no more than `parse_document`,
-//! and these gates keep it that way.
+//! constant. The baseline is `parse_document` plus a summary rebuild,
+//! and `parse_document` is the same streaming machine the delta path
+//! re-parses changed hosts with — so at full churn these gates hold the
+//! delta path's own bookkeeping (span fingerprints, cache maps) to what
+//! its savings (pre-sized metric vectors, the cursor summary fold) buy
+//! back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;

@@ -220,11 +220,12 @@ impl Gmetad {
     /// attempt's timeout is clamped to the round's remaining budget.
     pub fn poll_all(&self, transport: &dyn Transport, now: u64) -> Vec<Result<(), GmetadError>> {
         self.set_clock(now);
-        // Every span opened during this round — the round itself, each
-        // source's poll, the query spans racing it — carries this id,
-        // so the trace log can be sliced by round.
-        self.tracer.begin_round();
-        let round = self.tracer.span("round");
+        // The round span and each source's poll span carry this id
+        // explicitly (query spans racing the round pick up the current
+        // one), so the trace log can be sliced by round even when
+        // another round begins concurrently.
+        let round_id = self.tracer.begin_round();
+        let round = self.tracer.round_span("round", round_id);
         let round_start = Instant::now();
         let deadline = Duration::from_secs(self.config.round_deadline_secs);
         let budget = if deadline.is_zero() {
@@ -240,7 +241,7 @@ impl Gmetad {
         let results: Vec<Result<(), GmetadError>> = if workers <= 1 || slots.len() <= 1 {
             slots
                 .iter()
-                .map(|slot| self.poll_slot(slot, transport, now, &budget))
+                .map(|slot| self.poll_slot(slot, transport, now, round_id, &budget))
                 .collect()
         } else {
             let cells: Vec<OnceLock<Result<(), GmetadError>>> =
@@ -251,7 +252,7 @@ impl Gmetad {
                     scope.spawn(|| loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(slot) = slots.get(idx) else { break };
-                        let result = self.poll_slot(slot, transport, now, &budget);
+                        let result = self.poll_slot(slot, transport, now, round_id, &budget);
                         cells[idx].set(result).expect("each slot polled once");
                     });
                 }
@@ -334,6 +335,7 @@ impl Gmetad {
         slot: &Mutex<SourcePoller>,
         transport: &dyn Transport,
         now: u64,
+        round_id: u64,
         budget: &RoundBudget,
     ) -> Result<(), GmetadError> {
         let inflight = self.registry.gauge("poll_inflight");
@@ -341,7 +343,7 @@ impl Gmetad {
         let slot_start = Instant::now();
         // Opened before the slot lock so the span times what the old
         // histogram did: lock wait included.
-        let mut trace = self.tracer.span("round.poll");
+        let mut trace = self.tracer.round_span("round.poll", round_id);
         let mut poller = slot.lock();
         let name = poller.cfg().name.clone();
         trace.set_source(&name);

@@ -349,16 +349,12 @@ impl Ingester {
         let round = self.round;
 
         let mut parser = PullParser::new(input);
+        // Skip the prolog to the root element; the parser itself
+        // rejects text or a close tag here.
         let root_name = loop {
             match parser.next_event_into(scratch)? {
                 Some(StreamEvent::Start { name, .. }) => break name,
-                Some(StreamEvent::Decl(_) | StreamEvent::Comment(_)) => continue,
-                Some(other) => {
-                    return Err(ParseError::UnexpectedTag {
-                        parent: "(document)".into(),
-                        tag: format!("{other:?}"),
-                    })
-                }
+                Some(_) => continue,
                 None => return Err(ParseError::BadRoot("(empty)".into())),
             }
         };
@@ -530,7 +526,7 @@ impl Ingester {
                     names::METRICS => {
                         let body = summary.get_or_insert_with(SummaryBody::default);
                         body.metrics
-                            .push(stream::parse_metric_summary_scratch(input, scratch)?);
+                            .push(stream::parse_metric_summary(input, scratch)?);
                         parser.skip_subtree_into(scratch)?;
                     }
                     other => {
@@ -618,12 +614,8 @@ impl Ingester {
                             // delimits the span — nothing is scanned
                             // twice. The node's own interned name keys
                             // the cache (no second intern).
-                            let node = stream::parse_host_streaming(
-                                parser,
-                                input,
-                                scratch,
-                                cache.metrics_hint,
-                            )?;
+                            let node =
+                                stream::parse_host(parser, input, scratch, cache.metrics_hint)?;
                             let span = &input[span_start..parser.offset()];
                             (
                                 node.name.clone(),
@@ -669,11 +661,7 @@ impl Ingester {
                                 Some(node) => node,
                                 None => {
                                     let span = &input[span_start..parser.offset()];
-                                    stream::parse_host_span_streaming(
-                                        span,
-                                        scratch,
-                                        cache.metrics_hint,
-                                    )?
+                                    stream::parse_host_span(span, scratch, cache.metrics_hint)?
                                 }
                             };
                             let node = Arc::new(node);
@@ -711,7 +699,7 @@ impl Ingester {
                     names::METRICS => {
                         let body = summary.get_or_insert_with(SummaryBody::default);
                         body.metrics
-                            .push(stream::parse_metric_summary_scratch(input, scratch)?);
+                            .push(stream::parse_metric_summary(input, scratch)?);
                         parser.skip_subtree_into(scratch)?;
                     }
                     other => {
@@ -817,7 +805,7 @@ fn count_detail_hosts(doc: &GangliaDoc) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{parse_document, write_document};
+    use crate::{parse_document, write_document};
 
     fn cluster_xml(hosts: &[(u32, f64)]) -> String {
         let mut xml = String::from(
@@ -999,7 +987,7 @@ mod tests {
             }
             xml.push_str("</HOST>");
             let mut scratch = AttrScratch::new();
-            stream::parse_host_span_streaming(&xml, &mut scratch, 0).unwrap()
+            stream::parse_host_span(&xml, &mut scratch, 0).unwrap()
         };
         let mut str_host = mk("s", 5, &[("os", "0")]);
         str_host.metrics[0].value = crate::value::MetricValue::String("linux".into());

@@ -1,32 +1,18 @@
-//! Streaming no-DOM construction of model nodes.
+//! The model parser: Ganglia XML to typed model nodes, with no DOM.
 //!
-//! [`crate::codec::parse_document`] drives the *eventful* pull API: every
-//! start tag materializes a `Vec<Attribute>` and every entity-escaped
-//! value an owned `String`. That is fine for a one-shot parse, but the
-//! delta-aware [`crate::ingest::Ingester`] re-parses host subtrees every
-//! round, and at 100% churn those per-event allocations made the delta
-//! path *slower* than the plain parser it was supposed to beat.
+//! An event-driven recursive-descent machine over
+//! [`PullParser::next_event_into`]: attribute spans and expanded entities
+//! land in one reusable [`AttrScratch`], and `HostNode` / `SummaryBody`
+//! values are built directly from it — no per-tag attribute vector, no
+//! intermediate tree (paper §3.3.2 streams reports into hash tables the
+//! same way). The only allocations a parse performs are the ones the
+//! *result* needs (the nodes' own strings and vectors).
 //!
-//! This module is the allocation-lean twin: an event-driven state machine
-//! over [`PullParser::next_event_into`] that writes attribute spans and
-//! expanded entities into one reusable [`AttrScratch`] per source and
-//! builds `HostNode` / `SummaryBody` values directly from the scratch —
-//! no `Vec<Attribute>`, no `Cow`, no intermediate DOM. The only
-//! allocations left on a host re-parse are the ones the *result* needs
-//! (the node's own strings and metric vector).
-//!
-//! Two invariants the rest of the system depends on, enforced by unit
-//! tests here and the adversarial proptests in
-//! `tests/proptest_stream.rs`:
-//!
-//! * **value identity** — for any input, [`parse_document_streaming`]
-//!   produces exactly the document [`crate::codec::parse_document`]
-//!   produces (hence byte-identical renders);
-//! * **error identity** — for any malformed input, both parsers fail
-//!   with the *same* [`ParseError`] value. The helpers below perform the
-//!   identical checks in the identical order as their `codec` twins, and
-//!   `next_event_into` mirrors `next_event`'s well-formedness checks, so
-//!   this holds by construction.
+//! [`parse_document`] is the one-shot entry point. The element helpers
+//! are shared with the delta-aware [`crate::ingest::Ingester`], which
+//! drives the same machine over a per-source scratch and re-parses only
+//! the `<HOST>` spans whose bytes changed — so both paths build nodes
+//! with the identical checks in the identical order.
 //!
 //! Scratch ownership rule (see also [`AttrScratch`]): spans handed out
 //! for one event die at the next `next_event_into` call. Every helper
@@ -50,13 +36,8 @@ use crate::value::{MetricType, MetricValue};
 type Result<T> = std::result::Result<T, ParseError>;
 
 // ---------------------------------------------------------------------
-// Scratch-backed attribute helpers (twins of the `codec` helpers over
-// `&[Attribute]`, same error construction in the same order)
+// Attribute helpers
 // ---------------------------------------------------------------------
-
-pub(crate) fn find<'s>(input: &'s str, scratch: &'s AttrScratch, name: &str) -> Option<&'s str> {
-    scratch.get(input, name)
-}
 
 pub(crate) fn required<'s>(
     input: &'s str,
@@ -64,18 +45,18 @@ pub(crate) fn required<'s>(
     element: &'static str,
     name: &'static str,
 ) -> Result<&'s str> {
-    find(input, scratch, name).ok_or(ParseError::MissingAttr {
+    scratch.get(input, name).ok_or(ParseError::MissingAttr {
         element,
         attr: name,
     })
 }
 
 pub(crate) fn optional_string(input: &str, scratch: &AttrScratch, name: &str) -> String {
-    find(input, scratch, name).unwrap_or("").to_string()
+    scratch.get(input, name).unwrap_or("").to_string()
 }
 
 pub(crate) fn optional_atom(input: &str, scratch: &AttrScratch, name: &str) -> Atom {
-    match find(input, scratch, name) {
+    match scratch.get(input, name) {
         Some(value) => Atom::new(value),
         None => Atom::empty(),
     }
@@ -88,7 +69,7 @@ pub(crate) fn parse_num<T: std::str::FromStr>(
     name: &'static str,
     default: T,
 ) -> Result<T> {
-    match find(input, scratch, name) {
+    match scratch.get(input, name) {
         None => Ok(default),
         Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
             element,
@@ -104,7 +85,7 @@ pub(crate) fn parse_opt_num<T: std::str::FromStr>(
     element: &'static str,
     name: &'static str,
 ) -> Result<Option<T>> {
-    match find(input, scratch, name) {
+    match scratch.get(input, name) {
         None => Ok(None),
         Some(raw) => raw.parse().map(Some).map_err(|_| ParseError::BadAttr {
             element,
@@ -153,9 +134,8 @@ pub(crate) fn cluster_header(input: &str, scratch: &AttrScratch) -> Result<Clust
     })
 }
 
-/// Parse one `METRIC` start tag's attributes from the scratch. Twin of
-/// `codec::parse_metric`, checks in the same order.
-pub(crate) fn parse_metric_scratch(input: &str, scratch: &AttrScratch) -> Result<MetricEntry> {
+/// Parse one `METRIC` start tag's attributes from the scratch.
+pub(crate) fn parse_metric(input: &str, scratch: &AttrScratch) -> Result<MetricEntry> {
     let name = Atom::new(required(input, scratch, names::METRIC, attr::NAME)?);
     let ty_raw = required(input, scratch, names::METRIC, attr::TYPE)?;
     let ty: MetricType = ty_raw.parse().map_err(|_| ParseError::BadAttr {
@@ -169,7 +149,7 @@ pub(crate) fn parse_metric_scratch(input: &str, scratch: &AttrScratch) -> Result
         attr: attr::VAL.to_string(),
         value: val_raw.to_string(),
     })?;
-    let slope = match find(input, scratch, attr::SLOPE) {
+    let slope = match scratch.get(input, attr::SLOPE) {
         None => Slope::Unspecified,
         Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
             element: names::METRIC,
@@ -189,14 +169,10 @@ pub(crate) fn parse_metric_scratch(input: &str, scratch: &AttrScratch) -> Result
     })
 }
 
-/// Parse one `METRICS` summary tag's attributes from the scratch. Twin
-/// of `codec::parse_metric_summary`.
-pub(crate) fn parse_metric_summary_scratch(
-    input: &str,
-    scratch: &AttrScratch,
-) -> Result<MetricSummary> {
+/// Parse one `METRICS` summary tag's attributes from the scratch.
+pub(crate) fn parse_metric_summary(input: &str, scratch: &AttrScratch) -> Result<MetricSummary> {
     let name = Atom::new(required(input, scratch, names::METRICS, attr::NAME)?);
-    let ty = match find(input, scratch, attr::TYPE) {
+    let ty = match scratch.get(input, attr::TYPE) {
         None => MetricType::Double,
         Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
             element: names::METRICS,
@@ -204,7 +180,7 @@ pub(crate) fn parse_metric_summary_scratch(
             value: raw.to_string(),
         })?,
     };
-    let slope = match find(input, scratch, attr::SLOPE) {
+    let slope = match scratch.get(input, attr::SLOPE) {
         None => Slope::Unspecified,
         Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
             element: names::METRICS,
@@ -227,7 +203,7 @@ pub(crate) fn parse_metric_summary_scratch(
 /// attributes are still in the scratch). `metrics_hint` pre-sizes the
 /// metric vector from the previous round's observation so a steady-state
 /// host parse does not grow-and-copy.
-pub(crate) fn parse_host_streaming(
+pub(crate) fn parse_host(
     parser: &mut PullParser<'_>,
     input: &str,
     scratch: &mut AttrScratch,
@@ -248,7 +224,7 @@ pub(crate) fn parse_host_streaming(
         match parser.next_event_into(scratch)? {
             Some(StreamEvent::Start { name: tag, .. }) => match tag {
                 names::METRIC => {
-                    host.metrics.push(parse_metric_scratch(input, scratch)?);
+                    host.metrics.push(parse_metric(input, scratch)?);
                     parser.skip_subtree_into(scratch)?;
                 }
                 // Later gmond versions attach EXTRA_DATA; tolerated.
@@ -271,7 +247,7 @@ pub(crate) fn parse_host_streaming(
 /// Parse one `<HOST>...</HOST>` byte span through the streaming machine.
 /// This is the Ingester's span-miss path: full well-formedness checks
 /// apply, but the only allocations are the node's own.
-pub(crate) fn parse_host_span_streaming(
+pub(crate) fn parse_host_span(
     span: &str,
     scratch: &mut AttrScratch,
     metrics_hint: usize,
@@ -280,7 +256,7 @@ pub(crate) fn parse_host_span_streaming(
     match parser.next_event_into(scratch)? {
         Some(StreamEvent::Start {
             name: names::HOST, ..
-        }) => parse_host_streaming(&mut parser, span, scratch, metrics_hint),
+        }) => parse_host(&mut parser, span, scratch, metrics_hint),
         _ => Err(ParseError::UnexpectedTag {
             parent: names::CLUSTER.into(),
             tag: "(host span)".into(),
@@ -288,7 +264,7 @@ pub(crate) fn parse_host_span_streaming(
     }
 }
 
-fn parse_grid_streaming(
+fn parse_grid(
     parser: &mut PullParser<'_>,
     input: &str,
     scratch: &mut AttrScratch,
@@ -301,13 +277,11 @@ fn parse_grid_streaming(
             Some(StreamEvent::Start { name: tag, .. }) => match tag {
                 names::GRID => {
                     let hdr = grid_header(input, scratch)?;
-                    items.push(GridItem::Grid(parse_grid_streaming(
-                        parser, input, scratch, hdr,
-                    )?));
+                    items.push(GridItem::Grid(parse_grid(parser, input, scratch, hdr)?));
                 }
                 names::CLUSTER => {
                     let hdr = cluster_header(input, scratch)?;
-                    items.push(GridItem::Cluster(parse_cluster_streaming(
+                    items.push(GridItem::Cluster(parse_cluster(
                         parser, input, scratch, hdr,
                     )?));
                 }
@@ -319,8 +293,7 @@ fn parse_grid_streaming(
                 }
                 names::METRICS => {
                     let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.metrics
-                        .push(parse_metric_summary_scratch(input, scratch)?);
+                    body.metrics.push(parse_metric_summary(input, scratch)?);
                     parser.skip_subtree_into(scratch)?;
                 }
                 other => {
@@ -349,7 +322,7 @@ fn parse_grid_streaming(
     })
 }
 
-fn parse_cluster_streaming(
+fn parse_cluster(
     parser: &mut PullParser<'_>,
     input: &str,
     scratch: &mut AttrScratch,
@@ -360,9 +333,7 @@ fn parse_cluster_streaming(
     loop {
         match parser.next_event_into(scratch)? {
             Some(StreamEvent::Start { name: tag, .. }) => match tag {
-                names::HOST => {
-                    hosts.push(Arc::new(parse_host_streaming(parser, input, scratch, 0)?))
-                }
+                names::HOST => hosts.push(Arc::new(parse_host(parser, input, scratch, 0)?)),
                 names::HOSTS => {
                     let body = summary.get_or_insert_with(SummaryBody::default);
                     body.hosts_up = parse_num(input, scratch, names::HOSTS, attr::UP, 0u32)?;
@@ -371,8 +342,7 @@ fn parse_cluster_streaming(
                 }
                 names::METRICS => {
                     let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.metrics
-                        .push(parse_metric_summary_scratch(input, scratch)?);
+                    body.metrics.push(parse_metric_summary(input, scratch)?);
                     parser.skip_subtree_into(scratch)?;
                 }
                 other => {
@@ -403,25 +373,19 @@ fn parse_cluster_streaming(
     })
 }
 
-/// Parse a complete Ganglia XML report through the streaming machine,
-/// reusing `scratch` for every event. Produces exactly what
-/// [`crate::codec::parse_document`] produces — same document on success,
-/// same [`ParseError`] on failure.
-pub fn parse_document_streaming_with(input: &str, scratch: &mut AttrScratch) -> Result<GangliaDoc> {
+/// Parse a complete Ganglia XML report into the typed model.
+///
+/// The model parser stops at the root's closing tag: anything after it
+/// is never read.
+pub fn parse_document(input: &str) -> Result<GangliaDoc> {
+    let scratch = &mut AttrScratch::new();
     let mut parser = PullParser::new(input);
-    // Skip prolog (declaration, DOCTYPE, comments) to the root element.
+    // Skip the prolog (declaration, DOCTYPE, comments) to the root
+    // element; the parser itself rejects text or a close tag here.
     let root_name = loop {
         match parser.next_event_into(scratch)? {
             Some(StreamEvent::Start { name, .. }) => break name,
-            Some(StreamEvent::Decl(_) | StreamEvent::Comment(_)) => continue,
-            // Text / End before the root never reach here: the parser
-            // itself rejects them (TrailingContent / UnmatchedClose).
-            Some(other) => {
-                return Err(ParseError::UnexpectedTag {
-                    parent: "(document)".into(),
-                    tag: format!("{other:?}"),
-                })
-            }
+            Some(_) => continue,
             None => return Err(ParseError::BadRoot("(empty)".into())),
         }
     };
@@ -439,7 +403,7 @@ pub fn parse_document_streaming_with(input: &str, scratch: &mut AttrScratch) -> 
             Some(StreamEvent::Start { name, .. }) => match name {
                 names::GRID => {
                     let hdr = grid_header(input, scratch)?;
-                    doc.items.push(GridItem::Grid(parse_grid_streaming(
+                    doc.items.push(GridItem::Grid(parse_grid(
                         &mut parser,
                         input,
                         scratch,
@@ -448,7 +412,7 @@ pub fn parse_document_streaming_with(input: &str, scratch: &mut AttrScratch) -> 
                 }
                 names::CLUSTER => {
                     let hdr = cluster_header(input, scratch)?;
-                    doc.items.push(GridItem::Cluster(parse_cluster_streaming(
+                    doc.items.push(GridItem::Cluster(parse_cluster(
                         &mut parser,
                         input,
                         scratch,
@@ -470,33 +434,15 @@ pub fn parse_document_streaming_with(input: &str, scratch: &mut AttrScratch) -> 
     Ok(doc)
 }
 
-/// [`parse_document_streaming_with`] with a throwaway scratch — the
-/// one-shot form used by tests and callers without a per-source scratch.
-pub fn parse_document_streaming(input: &str) -> Result<GangliaDoc> {
-    let mut scratch = AttrScratch::new();
-    parse_document_streaming_with(input, &mut scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{parse_document, write_document};
-
-    fn assert_same_outcome(input: &str) {
-        let eventful = parse_document(input);
-        let streaming = parse_document_streaming(input);
-        match (eventful, streaming) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "documents diverged on {input:?}");
-                assert_eq!(write_document(&a), write_document(&b));
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "errors diverged on {input:?}"),
-            (a, b) => panic!("outcome diverged on {input:?}: eventful={a:?} streaming={b:?}"),
-        }
-    }
+    use crate::codec::write_document;
+    use ganglia_xml::error::XmlErrorKind;
+    use ganglia_xml::XmlError;
 
     #[test]
-    fn streaming_matches_eventful_on_representative_docs() {
+    fn representative_docs_are_render_fixpoints() {
         for doc in [
             r#"<GANGLIA_XML VERSION="2.5.4" SOURCE="gmond"><CLUSTER NAME="c" LOCALTIME="9">
 <HOST NAME="n0" IP="10.0.0.1" REPORTED="7" TN="5" TMAX="20" DMAX="0">
@@ -509,41 +455,118 @@ mod tests {
 <METRICS NAME="load_one" SUM="215.5" NUM="500" TYPE="float"/></CLUSTER></GANGLIA_XML>"#,
             r#"<GANGLIA_XML><CLUSTER NAME="c"/></GANGLIA_XML>"#,
             "<?xml version=\"1.0\"?><!-- p --><GANGLIA_XML/>",
-            // Entity-escaped and numeric-char-ref attribute values.
             r#"<GANGLIA_XML><CLUSTER NAME="a &amp; b" OWNER="&#65;&#x42;"><HOST NAME="h &lt;1&gt;" IP="1.1.1.1"/></CLUSTER></GANGLIA_XML>"#,
         ] {
-            assert_same_outcome(doc);
+            let parsed = parse_document(doc).unwrap();
+            let rendered = write_document(&parsed);
+            assert_eq!(parse_document(&rendered).unwrap(), parsed, "{doc:?}");
         }
     }
 
     #[test]
-    fn streaming_matches_eventful_on_malformed_docs() {
-        for doc in [
-            "",
-            "   ",
-            "<HTML/>",
-            "<GANGLIA_XML><BOGUS/></GANGLIA_XML>",
-            r#"<GANGLIA_XML><CLUSTER><HOST NAME="x"/></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h"><METRIC NAME="m" VAL="x" TYPE="int32"/></HOST></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h" IP="1.1.1.1"/><HOSTS UP="1" DOWN="0"/></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c"><GRID NAME="g"/></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c" LOCALTIME="yesterday"/></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c&bad;"/></GANGLIA_XML>"#,
-            "<GANGLIA_XML><CLUSTER NAME=\"c\">",
-            "<GANGLIA_XML></GANGLIA_XML>junk",
-        ] {
-            assert_same_outcome(doc);
+    fn entities_decode_into_model_strings() {
+        let doc = parse_document(
+            r#"<GANGLIA_XML><CLUSTER NAME="a &amp; b" OWNER="&#65;&#x42;"><HOST NAME="h &lt;1&gt;" IP="1.1.1.1"/></CLUSTER></GANGLIA_XML>"#,
+        )
+        .unwrap();
+        let GridItem::Cluster(c) = &doc.items[0] else {
+            panic!("expected a cluster")
+        };
+        assert_eq!(c.name, "a & b");
+        assert_eq!(c.owner, "AB");
+        assert!(c.host("h <1>").is_some());
+    }
+
+    #[test]
+    fn malformed_docs_fail_with_expected_error() {
+        let xml = |offset, kind| ParseError::Xml(XmlError { offset, kind });
+        let cases = [
+            ("", xml(0, XmlErrorKind::NoRootElement)),
+            ("   ", xml(3, XmlErrorKind::NoRootElement)),
+            ("<HTML/>", ParseError::BadRoot("HTML".into())),
+            (
+                "<GANGLIA_XML><BOGUS/></GANGLIA_XML>",
+                ParseError::UnexpectedTag {
+                    parent: "GANGLIA_XML".into(),
+                    tag: "BOGUS".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER><HOST NAME="x"/></CLUSTER></GANGLIA_XML>"#,
+                ParseError::MissingAttr {
+                    element: "CLUSTER",
+                    attr: "NAME",
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h"><METRIC NAME="m" VAL="1"/></HOST></CLUSTER></GANGLIA_XML>"#,
+                ParseError::MissingAttr {
+                    element: "METRIC",
+                    attr: "TYPE",
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h"><METRIC NAME="m" VAL="x" TYPE="int32"/></HOST></CLUSTER></GANGLIA_XML>"#,
+                ParseError::BadAttr {
+                    element: "METRIC",
+                    attr: "VAL".into(),
+                    value: "x".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h" IP="1.1.1.1"/><HOSTS UP="1" DOWN="0"/></CLUSTER></GANGLIA_XML>"#,
+                ParseError::MixedClusterBody("c".into()),
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c"><GRID NAME="g"/></CLUSTER></GANGLIA_XML>"#,
+                ParseError::UnexpectedTag {
+                    parent: "CLUSTER".into(),
+                    tag: "GRID".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c" LOCALTIME="yesterday"/></GANGLIA_XML>"#,
+                ParseError::BadAttr {
+                    element: "CLUSTER",
+                    attr: "LOCALTIME".into(),
+                    value: "yesterday".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c&bad;"/></GANGLIA_XML>"#,
+                xml(29, XmlErrorKind::BadEntity("bad".into())),
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c" NAME="d"/></GANGLIA_XML>"#,
+                xml(39, XmlErrorKind::DuplicateAttribute("NAME".into())),
+            ),
+            (
+                "<GANGLIA_XML><CLUSTER NAME=\"c\">",
+                xml(31, XmlErrorKind::UnclosedElements(2)),
+            ),
+        ];
+        for (doc, want) in cases {
+            assert_eq!(parse_document(doc).unwrap_err(), want, "{doc:?}");
         }
     }
 
     #[test]
-    fn host_span_streaming_matches_eventful_span_parse() {
+    fn content_after_the_root_is_never_read() {
+        let doc = "<GANGLIA_XML></GANGLIA_XML>";
+        let want = parse_document(doc).unwrap();
+        for tail in ["junk", "<", "<A/>", "</B>"] {
+            assert_eq!(parse_document(&format!("{doc}{tail}")).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn host_span_parses_one_host() {
         let span = r#"<HOST NAME="n0" IP="10.0.0.1" REPORTED="7" TN="5" TMAX="20" DMAX="0" LOCATION="r1,u2" STARTED="3">
 <METRIC NAME="load_one" VAL="0.89" TYPE="float" SLOPE="both"/>
 <EXTRA_DATA><EXTRA_ELEMENT NAME="x"/></EXTRA_DATA>
 </HOST>"#;
         let mut scratch = AttrScratch::new();
-        let node = parse_host_span_streaming(span, &mut scratch, 4).unwrap();
+        let node = parse_host_span(span, &mut scratch, 4).unwrap();
         assert_eq!(node.name.as_str(), "n0");
         assert_eq!(node.ip, "10.0.0.1");
         assert_eq!(node.reported, Some(7));
@@ -551,15 +574,17 @@ mod tests {
         assert_eq!(node.gmond_started, 3);
         assert_eq!(node.metrics.len(), 1);
         assert_eq!(node.metrics[0].name.as_str(), "load_one");
-        // Non-HOST spans are rejected the same way the eventful span
-        // parser rejects them.
-        assert!(matches!(
-            parse_host_span_streaming(
+        // Non-HOST spans are rejected.
+        assert_eq!(
+            parse_host_span(
                 "<METRIC NAME=\"x\" VAL=\"1\" TYPE=\"int32\"/>",
                 &mut scratch,
                 0
             ),
-            Err(ParseError::UnexpectedTag { .. })
-        ));
+            Err(ParseError::UnexpectedTag {
+                parent: "CLUSTER".into(),
+                tag: "(host span)".into(),
+            })
+        );
     }
 }

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use ganglia_xml::{Event, PullParser, XmlWriter};
+use ganglia_xml::{AttrScratch, PullParser, StreamEvent, XmlWriter};
 
 use crate::histogram::HistogramSnapshot;
 
@@ -115,25 +115,20 @@ impl Snapshot {
     /// Returns the snapshot and the `SOURCE` attribute.
     pub fn parse_xml(input: &str) -> Result<(Snapshot, String), TelemetryError> {
         let mut parser = PullParser::new(input);
+        let mut scratch = AttrScratch::new();
         let mut snapshot = Snapshot::default();
         let mut source = String::new();
         let mut saw_root = false;
         while let Some(event) = parser
-            .next_event()
+            .next_event_into(&mut scratch)
             .map_err(|e| TelemetryError::Xml(e.to_string()))?
         {
             match event {
-                Event::Start {
-                    name, attributes, ..
-                } => {
+                StreamEvent::Start { name, .. } => {
                     let attr = |key: &str| {
-                        attributes
-                            .iter()
-                            .find(|a| a.name == key)
-                            .map(|a| a.value.to_string())
-                            .ok_or_else(|| {
-                                TelemetryError::Structure(format!("<{name}> missing {key}"))
-                            })
+                        scratch.get(input, key).map(str::to_string).ok_or_else(|| {
+                            TelemetryError::Structure(format!("<{name}> missing {key}"))
+                        })
                     };
                     let num = |key: &str| -> Result<u64, TelemetryError> {
                         attr(key)?.parse().map_err(|_| {
@@ -172,11 +167,11 @@ impl Snapshot {
                         }
                     }
                 }
-                Event::End { .. } | Event::Decl(_) | Event::Comment(_) => {}
-                Event::Text(text) => {
+                StreamEvent::End { .. } | StreamEvent::Decl(_) | StreamEvent::Comment(_) => {}
+                StreamEvent::Text => {
                     return Err(TelemetryError::Structure(format!(
                         "unexpected character data {:?}",
-                        text.trim()
+                        scratch.text(input).unwrap_or_default().trim()
                     )))
                 }
             }

@@ -16,7 +16,9 @@
 //!
 //! Events are *round-correlated*: the tracer carries a monotone round
 //! counter ([`Tracer::begin_round`], bumped once per poll round) and
-//! every span captures the current round id at open. Spans can also be
+//! every span carries a round id: the one its opener got from
+//! `begin_round` ([`Tracer::round_span`]), or the current one at open
+//! ([`Tracer::span`]). Children inherit it. Spans can also be
 //! labelled with the data source they work on and the outcome they
 //! finished with, so the ring doubles as a structured trace log — one
 //! slow root render can be chased down to the exact poll/ingest/
@@ -121,13 +123,23 @@ impl Tracer {
         self.round.load(Ordering::SeqCst)
     }
 
-    /// Open a root span.
+    /// Open a root span in whatever round is current. Work that belongs
+    /// to a specific round should use [`Tracer::round_span`] instead: by
+    /// the time this reads the counter, a concurrent `begin_round` may
+    /// have moved it on.
     pub fn span(&self, name: &str) -> Span<'_> {
+        self.round_span(name, self.current_round())
+    }
+
+    /// Open a root span in round `round` — the id the caller got from
+    /// [`Tracer::begin_round`] — regardless of what the shared counter
+    /// says by now.
+    pub fn round_span(&self, name: &str, round: u64) -> Span<'_> {
         Span {
             tracer: self,
             path: name.to_string(),
             start: Instant::now(),
-            round: self.current_round(),
+            round,
             opened_at: self.clock.now(),
             source: String::new(),
             outcome: String::new(),
@@ -348,6 +360,17 @@ mod tests {
         assert_eq!(event.get("closed_at").and_then(|v| v.as_u64()), Some(7));
     }
 
+    #[test]
+    fn round_span_keeps_its_round_when_another_begins() {
+        let tracer = Tracer::new(Arc::new(Registry::new()), LogicalClock::new());
+        let mine = tracer.begin_round();
+        // Another round begins before this one opens its span — the
+        // interleaving concurrent pollers hit.
+        let theirs = tracer.begin_round();
+        assert_eq!(tracer.round_span("round.poll", mine).round(), mine);
+        assert_eq!(tracer.span("query").round(), theirs);
+    }
+
     // Satellite: the ring under concurrent writers. Bounded size holds,
     // no torn events (every field belongs to the same logical write),
     // and round ids are monotone per source.
@@ -366,9 +389,10 @@ mod tests {
                     let source = format!("src-{w}");
                     for i in 0..ROUNDS {
                         // Each writer drives its own rounds off the
-                        // shared counter, as concurrent daemons would.
+                        // shared counter, as concurrent daemons would,
+                        // and opens its span from the id it was given.
                         let round = tracer.begin_round();
-                        let mut span = tracer.span("round.poll");
+                        let mut span = tracer.round_span("round.poll", round);
                         span.set_source(&source);
                         span.set_outcome(if i % 3 == 0 { "failed" } else { "ok" });
                         assert_eq!(span.round(), round);

@@ -2,8 +2,9 @@
 //!
 //! Both directions are written to avoid allocation in the common case:
 //! Ganglia metric names and values are almost always plain ASCII with no
-//! reserved characters, so `escape`/`unescape` return `Cow::Borrowed`
-//! unless a substitution is actually required.
+//! reserved characters, so `escape` returns `Cow::Borrowed` unless a
+//! substitution is actually required, and `unescape_into` appends into a
+//! caller-owned buffer that is reused across events.
 
 use std::borrow::Cow;
 
@@ -57,28 +58,16 @@ pub fn write_escaped<W: std::fmt::Write>(sink: &mut W, raw: &str) -> std::fmt::R
     sink.write_str(rest)
 }
 
-/// Expand entity and numeric character references in `raw`.
+/// Expand entity and numeric character references in `raw`, appending the
+/// result to `out`.
 ///
 /// Supports the five predefined entities (`amp`, `lt`, `gt`, `quot`,
 /// `apos`) and decimal/hex character references (`&#NN;`, `&#xNN;`).
 /// `offset` is the position of `raw` in the original document, used to
-/// report errors against the full input.
-pub fn unescape(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
-    if !raw.contains('&') {
-        return Ok(Cow::Borrowed(raw));
-    }
-    let mut out = String::with_capacity(raw.len());
-    unescape_into(raw, offset, &mut out)?;
-    Ok(Cow::Owned(out))
-}
-
-/// Expand entity and numeric character references in `raw`, appending the
-/// result to `out` instead of allocating a fresh string.
-///
-/// This is the scratch-buffer form of [`unescape`] used by the streaming
-/// no-DOM ingest path: the caller owns `out` and reuses its allocation
-/// across events, so a steady stream of escaped attribute values costs no
-/// per-event allocation once the scratch has grown to its working size.
+/// report errors against the full input. The caller owns `out` and
+/// reuses its allocation across events, so a steady stream of escaped
+/// values costs no per-event allocation once it has grown to its
+/// working size.
 pub fn unescape_into(raw: &str, offset: usize, out: &mut String) -> XmlResult<()> {
     let mut rest = raw;
     let mut pos = 0usize;
@@ -131,10 +120,17 @@ fn expand_entity(entity: &str) -> Option<char> {
 mod tests {
     use super::*;
 
+    /// `unescape_into` a fresh buffer.
+    fn decode(raw: &str, offset: usize) -> XmlResult<String> {
+        let mut out = String::new();
+        unescape_into(raw, offset, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
-    fn plain_text_is_borrowed_both_ways() {
+    fn plain_text_is_borrowed() {
         assert!(matches!(escape("cpu_num"), Cow::Borrowed(_)));
-        assert!(matches!(unescape("cpu_num", 0).unwrap(), Cow::Borrowed(_)));
+        assert_eq!(decode("cpu_num", 0).unwrap(), "cpu_num");
     }
 
     #[test]
@@ -148,32 +144,39 @@ mod tests {
     #[test]
     fn unescape_expands_predefined_entities() {
         assert_eq!(
-            unescape("a&lt;b&gt;&amp;&quot;c&apos;", 0).unwrap(),
-            r#"a<b>&"c'"#.to_string()
+            decode("a&lt;b&gt;&amp;&quot;c&apos;", 0).unwrap(),
+            r#"a<b>&"c'"#
         );
     }
 
     #[test]
     fn unescape_numeric_references() {
-        assert_eq!(unescape("&#65;&#x42;&#x63;", 0).unwrap(), "ABc".to_string());
+        assert_eq!(decode("&#65;&#x42;&#x63;", 0).unwrap(), "ABc");
+    }
+
+    #[test]
+    fn unescape_appends_to_existing_content() {
+        let mut out = String::from("kept:");
+        unescape_into("a&amp;b", 0, &mut out).unwrap();
+        assert_eq!(out, "kept:a&b");
     }
 
     #[test]
     fn unescape_rejects_unknown_entity() {
-        let err = unescape("x&bogus;y", 3).unwrap_err();
+        let err = decode("x&bogus;y", 3).unwrap_err();
         assert_eq!(err.offset, 4);
         assert_eq!(err.kind, XmlErrorKind::BadEntity("bogus".into()));
     }
 
     #[test]
     fn unescape_rejects_unterminated_entity() {
-        assert!(unescape("x&ampy", 0).is_err());
+        assert!(decode("x&ampy", 0).is_err());
     }
 
     #[test]
     fn unescape_rejects_out_of_range_codepoint() {
-        assert!(unescape("&#x110000;", 0).is_err());
-        assert!(unescape("&#xD800;", 0).is_err()); // surrogate
+        assert!(decode("&#x110000;", 0).is_err());
+        assert!(decode("&#xD800;", 0).is_err()); // surrogate
     }
 
     #[test]
@@ -189,7 +192,7 @@ mod tests {
     fn roundtrip_preserves_text() {
         for raw in ["", "plain", "a&b", "<GRID>", "tick ' tock \" done", "üñí"] {
             let escaped = escape(raw);
-            let back = unescape(&escaped, 0).unwrap();
+            let back = decode(&escaped, 0).unwrap();
             assert_eq!(back, raw);
         }
     }

@@ -2,58 +2,17 @@
 //!
 //! Parsing child reports is the single hottest operation in a wide-area
 //! monitor (paper §3.3.1), so this parser is written to borrow everything
-//! it can from the input buffer: element and attribute names are always
-//! `&str` slices of the input, and attribute values / character data are
-//! `Cow::Borrowed` unless an entity reference forces expansion.
+//! it can from the input buffer: element names are `&str` slices of the
+//! input, and attribute values / character data are spans of the input
+//! unless an entity reference forces expansion into a reusable
+//! [`AttrScratch`] arena.
 //!
 //! The parser checks well-formedness as it goes (balanced tags, single
 //! root, no duplicate attributes) so downstream code can trust the event
 //! stream.
 
-use std::borrow::Cow;
-
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use crate::escape::{unescape, unescape_into};
-
-/// One attribute on a start tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute<'a> {
-    /// Attribute name, borrowed from the input.
-    pub name: &'a str,
-    /// Attribute value with entities expanded.
-    pub value: Cow<'a, str>,
-}
-
-/// A parse event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event<'a> {
-    /// `<NAME ...>` or `<NAME ... />`. An empty element (`/>`) sets
-    /// `empty` and is still followed by a matching [`Event::End`], so
-    /// consumers never need to special-case it.
-    Start {
-        name: &'a str,
-        attributes: Vec<Attribute<'a>>,
-        empty: bool,
-    },
-    /// `</NAME>` (or the synthesized end of an empty element).
-    End { name: &'a str },
-    /// Non-whitespace character data, entities expanded.
-    Text(Cow<'a, str>),
-    /// `<!-- ... -->`, body only.
-    Comment(&'a str),
-    /// `<?...?>` or `<!DOCTYPE ...>`, body only. Not interpreted.
-    Decl(&'a str),
-}
-
-impl Event<'_> {
-    /// The tag name if this is a start event.
-    pub fn start_name(&self) -> Option<&str> {
-        match self {
-            Event::Start { name, .. } => Some(name),
-            _ => None,
-        }
-    }
-}
+use crate::escape::unescape_into;
 
 /// Where an attribute value (or text run) lives: either a span of the
 /// original input (the no-entity fast path) or a span of the scratch
@@ -73,15 +32,22 @@ struct RawAttr {
     value: ValueSpan,
 }
 
-/// Reusable per-source scratch for the borrowing event API
-/// ([`PullParser::next_event_into`]).
+impl RawAttr {
+    /// Whether this attribute is called `name`. Lengths compare first:
+    /// the names on one tag mostly differ in length, so most probes stop
+    /// before touching the bytes.
+    fn is(&self, input: &str, name: &str) -> bool {
+        self.name_end - self.name_start == name.len()
+            && input.as_bytes()[self.name_start..self.name_end] == *name.as_bytes()
+    }
+}
+
+/// Reusable per-source scratch for [`PullParser::next_event_into`].
 ///
-/// The eventful [`Event::Start`] allocates a `Vec<Attribute>` per start
-/// tag and an owned `String` per entity-escaped value. `AttrScratch`
-/// instead records attribute name/value *spans* and expands entities
-/// into one arena `String`, both reused across events — so a steady
-/// event stream performs no per-event allocation once the scratch has
-/// grown to its working size.
+/// Attribute name/value *spans* are recorded here and entities are
+/// expanded into one arena `String`, both reused across events — so a
+/// steady event stream performs no per-event allocation once the
+/// scratch has grown to its working size.
 ///
 /// Ownership rule: the scratch is cleared at the top of every
 /// `next_event_into` call, so spans handed out for one event are only
@@ -121,6 +87,23 @@ impl AttrScratch {
         }
     }
 
+    /// Record `raw` (found at `offset` in the input) as a value span,
+    /// expanding entities into the arena only when it contains any.
+    fn push_value(&mut self, raw: &str, offset: usize) -> XmlResult<ValueSpan> {
+        if !raw.contains('&') {
+            return Ok(ValueSpan::Input {
+                start: offset,
+                end: offset + raw.len(),
+            });
+        }
+        let start = self.arena.len();
+        unescape_into(raw, offset, &mut self.arena)?;
+        Ok(ValueSpan::Arena {
+            start,
+            end: self.arena.len(),
+        })
+    }
+
     /// Name of attribute `i`, resolved against the same `input` the
     /// parser was created over.
     pub fn name<'s>(&self, input: &'s str, i: usize) -> &'s str {
@@ -135,9 +118,8 @@ impl AttrScratch {
 
     /// Look an attribute up by name.
     pub fn get<'s>(&'s self, input: &'s str, name: &str) -> Option<&'s str> {
-        (0..self.attrs.len())
-            .find(|&i| self.name(input, i) == name)
-            .map(|i| self.value(input, i))
+        let attr = self.attrs.iter().find(|a| a.is(input, name))?;
+        Some(self.resolve(input, attr.value))
     }
 
     /// Character data of the current [`StreamEvent::Text`] event,
@@ -147,16 +129,19 @@ impl AttrScratch {
     }
 }
 
-/// A parse event from the borrowing API. Attribute values and text live
-/// in the caller's [`AttrScratch`]; only input-borrowed names ride on
-/// the event itself.
+/// A parse event. Attribute values and text live in the caller's
+/// [`AttrScratch`]; only input-borrowed names ride on the event itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamEvent<'a> {
-    /// `<NAME ...>` or `<NAME ... />`; attributes are in the scratch.
+    /// `<NAME ...>` or `<NAME ... />`; attributes are in the scratch. An
+    /// empty element (`/>`) sets `empty` and is still followed by a
+    /// matching [`StreamEvent::End`], so consumers never need to
+    /// special-case it.
     Start { name: &'a str, empty: bool },
     /// `</NAME>` (or the synthesized end of an empty element).
     End { name: &'a str },
-    /// Non-whitespace character data; content is in the scratch.
+    /// Non-whitespace character data (or a CDATA section); content is in
+    /// the scratch.
     Text,
     /// `<!-- ... -->`, body only.
     Comment(&'a str),
@@ -165,7 +150,7 @@ pub enum StreamEvent<'a> {
 }
 
 /// The pull parser. Create with [`PullParser::new`], then call
-/// [`PullParser::next_event`] until it returns `Ok(None)`.
+/// [`PullParser::next_event_into`] until it returns `Ok(None)`.
 #[derive(Debug, Clone)]
 pub struct PullParser<'a> {
     input: &'a str,
@@ -226,14 +211,20 @@ impl<'a> PullParser<'a> {
     }
 
     /// Produce the next event, or `Ok(None)` at a well-formed end of
-    /// document.
-    pub fn next_event(&mut self) -> XmlResult<Option<Event<'a>>> {
+    /// document. Attribute spans and expanded entities land in
+    /// `scratch`, which is cleared on entry, so a steady event stream
+    /// allocates nothing once the scratch has grown.
+    pub fn next_event_into(
+        &mut self,
+        scratch: &mut AttrScratch,
+    ) -> XmlResult<Option<StreamEvent<'a>>> {
+        scratch.clear();
         if let Some(name) = self.pending_end.take() {
             self.stack.pop();
             if self.stack.is_empty() {
                 self.saw_root_close = true;
             }
-            return Ok(Some(Event::End { name }));
+            return Ok(Some(StreamEvent::End { name }));
         }
         loop {
             if self.pos >= self.input.len() {
@@ -247,7 +238,17 @@ impl<'a> PullParser<'a> {
             }
             if self.bytes()[self.pos] == b'<' {
                 self.event_start = self.pos;
-                return self.parse_markup().map(Some);
+                let after_lt = self.pos + 1;
+                if after_lt >= self.input.len() {
+                    return self.err(XmlErrorKind::UnexpectedEof("markup"));
+                }
+                return match self.bytes()[after_lt] {
+                    b'?' => self.parse_pi(),
+                    b'!' => self.parse_bang(scratch),
+                    b'/' => self.parse_close_tag(),
+                    _ => self.parse_open_tag_into(scratch),
+                }
+                .map(Some);
             }
             // Character data up to the next '<'.
             let start = self.pos;
@@ -264,36 +265,22 @@ impl<'a> PullParser<'a> {
             if self.stack.is_empty() {
                 return self.err(XmlErrorKind::TrailingContent);
             }
-            let text = unescape(raw, start)?;
-            return Ok(Some(Event::Text(text)));
+            scratch.text = Some(scratch.push_value(raw, start)?);
+            return Ok(Some(StreamEvent::Text));
         }
     }
 
-    fn parse_markup(&mut self) -> XmlResult<Event<'a>> {
-        debug_assert_eq!(self.bytes()[self.pos], b'<');
-        let after_lt = self.pos + 1;
-        if after_lt >= self.input.len() {
-            return self.err(XmlErrorKind::UnexpectedEof("markup"));
-        }
-        match self.bytes()[after_lt] {
-            b'?' => self.parse_pi(),
-            b'!' => self.parse_bang(),
-            b'/' => self.parse_close_tag(),
-            _ => self.parse_open_tag(),
-        }
-    }
-
-    fn parse_pi(&mut self) -> XmlResult<Event<'a>> {
+    fn parse_pi(&mut self) -> XmlResult<StreamEvent<'a>> {
         let body_start = self.pos + 2;
         let Some(end) = self.input[body_start..].find("?>") else {
             return self.err(XmlErrorKind::UnexpectedEof("processing instruction"));
         };
         let body = &self.input[body_start..body_start + end];
         self.pos = body_start + end + 2;
-        Ok(Event::Decl(body))
+        Ok(StreamEvent::Decl(body))
     }
 
-    fn parse_bang(&mut self) -> XmlResult<Event<'a>> {
+    fn parse_bang(&mut self, scratch: &mut AttrScratch) -> XmlResult<StreamEvent<'a>> {
         let rest = &self.input[self.pos..];
         if let Some(body) = rest.strip_prefix("<!--") {
             let Some(end) = body.find("-->") else {
@@ -301,19 +288,23 @@ impl<'a> PullParser<'a> {
             };
             let comment = &self.input[self.pos + 4..self.pos + 4 + end];
             self.pos += 4 + end + 3;
-            return Ok(Event::Comment(comment));
+            return Ok(StreamEvent::Comment(comment));
         }
         if rest.starts_with("<![CDATA[") {
             let body_start = self.pos + 9;
             let Some(end) = self.input[body_start..].find("]]>") else {
                 return self.err(XmlErrorKind::UnexpectedEof("CDATA section"));
             };
-            let text = &self.input[body_start..body_start + end];
             self.pos = body_start + end + 3;
             if self.stack.is_empty() {
                 return self.err(XmlErrorKind::TrailingContent);
             }
-            return Ok(Event::Text(Cow::Borrowed(text)));
+            // CDATA is raw text, never entity-expanded.
+            scratch.text = Some(ValueSpan::Input {
+                start: body_start,
+                end: body_start + end,
+            });
+            return Ok(StreamEvent::Text);
         }
         // <!DOCTYPE ...> — may contain an internal subset in brackets.
         let body_start = self.pos + 2;
@@ -325,7 +316,7 @@ impl<'a> PullParser<'a> {
                 b'>' if depth == 0 => {
                     let body = &self.input[body_start..body_start + i];
                     self.pos = body_start + i + 1;
-                    return Ok(Event::Decl(body));
+                    return Ok(StreamEvent::Decl(body));
                 }
                 _ => {}
             }
@@ -333,7 +324,7 @@ impl<'a> PullParser<'a> {
         self.err(XmlErrorKind::UnexpectedEof("declaration"))
     }
 
-    fn parse_close_tag(&mut self) -> XmlResult<Event<'a>> {
+    fn parse_close_tag(&mut self) -> XmlResult<StreamEvent<'a>> {
         let name_start = self.pos + 2;
         self.pos = name_start;
         let name = self.take_name()?;
@@ -350,7 +341,7 @@ impl<'a> PullParser<'a> {
                 if self.stack.is_empty() {
                     self.saw_root_close = true;
                 }
-                Ok(Event::End { name })
+                Ok(StreamEvent::End { name })
             }
             Some(open) => Err(XmlError::new(
                 name_start,
@@ -366,13 +357,12 @@ impl<'a> PullParser<'a> {
         }
     }
 
-    fn parse_open_tag(&mut self) -> XmlResult<Event<'a>> {
+    fn parse_open_tag_into(&mut self, scratch: &mut AttrScratch) -> XmlResult<StreamEvent<'a>> {
         if self.saw_root_close && self.stack.is_empty() {
             return self.err(XmlErrorKind::TrailingContent);
         }
         self.pos += 1; // consume '<'
         let name = self.take_name()?;
-        let mut attributes = Vec::new();
         loop {
             self.skip_ws();
             match self.peek_byte() {
@@ -380,11 +370,7 @@ impl<'a> PullParser<'a> {
                     self.pos += 1;
                     self.stack.push(name);
                     self.saw_root_open = true;
-                    return Ok(Event::Start {
-                        name,
-                        attributes,
-                        empty: false,
-                    });
+                    return Ok(StreamEvent::Start { name, empty: false });
                 }
                 Some(b'/') => {
                     self.pos += 1;
@@ -398,26 +384,18 @@ impl<'a> PullParser<'a> {
                     self.stack.push(name);
                     self.saw_root_open = true;
                     self.pending_end = Some(name);
-                    return Ok(Event::Start {
-                        name,
-                        attributes,
-                        empty: true,
-                    });
+                    return Ok(StreamEvent::Start { name, empty: true });
                 }
-                Some(_) => {
-                    let attr = self.take_attribute()?;
-                    if attributes.iter().any(|a: &Attribute| a.name == attr.name) {
-                        return self.err(XmlErrorKind::DuplicateAttribute(attr.name.to_string()));
-                    }
-                    attributes.push(attr);
-                }
+                Some(_) => self.take_attribute_into(scratch)?,
                 None => return self.err(XmlErrorKind::UnexpectedEof("start tag")),
             }
         }
     }
 
-    fn take_attribute(&mut self) -> XmlResult<Attribute<'a>> {
+    fn take_attribute_into(&mut self, scratch: &mut AttrScratch) -> XmlResult<()> {
+        let name_start = self.pos;
         let name = self.take_name()?;
+        let name_end = self.pos;
         self.skip_ws();
         if self.peek_byte() != Some(b'=') {
             return self.err(XmlErrorKind::UnexpectedChar {
@@ -443,8 +421,17 @@ impl<'a> PullParser<'a> {
         };
         let raw = &self.input[value_start..value_start + end];
         self.pos = value_start + end + 1;
-        let value = unescape(raw, value_start)?;
-        Ok(Attribute { name, value })
+        // A bad entity in the value reports before the duplicate check.
+        let value = scratch.push_value(raw, value_start)?;
+        if scratch.attrs.iter().any(|a| a.is(self.input, name)) {
+            return self.err(XmlErrorKind::DuplicateAttribute(name.to_string()));
+        }
+        scratch.attrs.push(RawAttr {
+            name_start,
+            name_end,
+            value,
+        });
+        Ok(())
     }
 
     fn take_name(&mut self) -> XmlResult<&'a str> {
@@ -476,34 +463,18 @@ impl<'a> PullParser<'a> {
         self.input[self.pos..].chars().next().unwrap_or('\0')
     }
 
-    /// Skip the remainder of the element whose [`Event::Start`] was just
-    /// returned, including all of its descendants. This is how a gmetad
-    /// answering a path query avoids touching subtrees the query does not
-    /// select.
-    pub fn skip_subtree(&mut self) -> XmlResult<()> {
-        let target = self.stack.len();
-        if target == 0 {
-            return Ok(());
-        }
-        loop {
-            match self.next_event()? {
-                Some(Event::End { .. }) if self.stack.len() < target => return Ok(()),
-                Some(_) => continue,
-                None => return Ok(()),
-            }
-        }
-    }
-
-    /// Like [`PullParser::skip_subtree`], but scanning raw bytes without
-    /// materializing any events or attributes — the zero-allocation path
-    /// the delta-aware ingest uses to delimit a `<HOST>` subtree it is
-    /// about to fingerprint. Quoted attribute values (which may contain
-    /// `>`), comments, CDATA sections, and processing instructions are
-    /// honored; close-tag *names* are not checked against open tags, so a
-    /// balanced-but-mismatched subtree passes here that the event path
-    /// would reject. That is safe for fingerprinting: a span whose hash
-    /// misses the cache is re-parsed through the full event path, which
-    /// performs every well-formedness check.
+    /// Skip the remainder of the element whose start event was just
+    /// returned, including all of its descendants, by scanning raw bytes
+    /// without materializing any events or attributes — the
+    /// zero-allocation path the delta-aware ingest uses to delimit a
+    /// `<HOST>` subtree it is about to fingerprint. Quoted attribute
+    /// values (which may contain `>`), comments, CDATA sections, and
+    /// processing instructions are honored; close-tag *names* are not
+    /// checked against open tags, so a balanced-but-mismatched subtree
+    /// passes here that [`PullParser::skip_subtree_into`] would reject.
+    /// That is safe for fingerprinting: a span whose hash misses the
+    /// cache is re-parsed through the full event path, which performs
+    /// every well-formedness check.
     pub fn skip_subtree_raw(&mut self) -> XmlResult<()> {
         if self.pending_end.take().is_some() {
             // `<X/>`: the subtree is the empty element itself.
@@ -602,199 +573,10 @@ impl<'a> PullParser<'a> {
         Ok(())
     }
 
-    /// Byte span of `s` within the parser's input. `s` must be a slice
-    /// of the input (all borrowed event payloads are).
-    fn span_of(&self, s: &str) -> (usize, usize) {
-        let off = s.as_ptr() as usize - self.input.as_ptr() as usize;
-        (off, off + s.len())
-    }
-
-    /// Produce the next event without allocating: attribute spans and
-    /// expanded entities land in `scratch`, which is cleared on entry.
-    /// This is the streaming-ingest twin of [`PullParser::next_event`] —
-    /// it performs the identical well-formedness checks in the identical
-    /// order, so a document that errors under one API errors with the
-    /// same [`XmlError`] under the other.
-    pub fn next_event_into(
-        &mut self,
-        scratch: &mut AttrScratch,
-    ) -> XmlResult<Option<StreamEvent<'a>>> {
-        scratch.clear();
-        if let Some(name) = self.pending_end.take() {
-            self.stack.pop();
-            if self.stack.is_empty() {
-                self.saw_root_close = true;
-            }
-            return Ok(Some(StreamEvent::End { name }));
-        }
-        loop {
-            if self.pos >= self.input.len() {
-                if !self.stack.is_empty() {
-                    return self.err(XmlErrorKind::UnclosedElements(self.stack.len()));
-                }
-                if !self.saw_root_open {
-                    return self.err(XmlErrorKind::NoRootElement);
-                }
-                return Ok(None);
-            }
-            if self.bytes()[self.pos] == b'<' {
-                self.event_start = self.pos;
-                let after_lt = self.pos + 1;
-                if after_lt >= self.input.len() {
-                    return self.err(XmlErrorKind::UnexpectedEof("markup"));
-                }
-                return match self.bytes()[after_lt] {
-                    b'?' => self.parse_pi().map(|ev| match ev {
-                        Event::Decl(body) => Some(StreamEvent::Decl(body)),
-                        _ => unreachable!("parse_pi yields Decl"),
-                    }),
-                    b'!' => self.parse_bang().map(|ev| {
-                        Some(match ev {
-                            Event::Comment(body) => StreamEvent::Comment(body),
-                            Event::Decl(body) => StreamEvent::Decl(body),
-                            Event::Text(Cow::Borrowed(body)) => {
-                                // CDATA: raw text, never entity-expanded.
-                                let (start, end) = self.span_of(body);
-                                scratch.text = Some(ValueSpan::Input { start, end });
-                                StreamEvent::Text
-                            }
-                            _ => unreachable!("parse_bang yields Comment/Decl/borrowed Text"),
-                        })
-                    }),
-                    b'/' => self.parse_close_tag().map(|ev| match ev {
-                        Event::End { name } => Some(StreamEvent::End { name }),
-                        _ => unreachable!("parse_close_tag yields End"),
-                    }),
-                    _ => self.parse_open_tag_into(scratch).map(Some),
-                };
-            }
-            // Character data up to the next '<'.
-            let start = self.pos;
-            self.event_start = start;
-            let end = self.input[start..]
-                .find('<')
-                .map(|i| start + i)
-                .unwrap_or(self.input.len());
-            self.pos = end;
-            let raw = &self.input[start..end];
-            if raw.bytes().all(|b| b.is_ascii_whitespace()) {
-                continue; // inter-tag whitespace carries no information
-            }
-            if self.stack.is_empty() {
-                return self.err(XmlErrorKind::TrailingContent);
-            }
-            scratch.text = Some(if raw.contains('&') {
-                let arena_start = scratch.arena.len();
-                unescape_into(raw, start, &mut scratch.arena)?;
-                ValueSpan::Arena {
-                    start: arena_start,
-                    end: scratch.arena.len(),
-                }
-            } else {
-                ValueSpan::Input { start, end }
-            });
-            return Ok(Some(StreamEvent::Text));
-        }
-    }
-
-    fn parse_open_tag_into(&mut self, scratch: &mut AttrScratch) -> XmlResult<StreamEvent<'a>> {
-        if self.saw_root_close && self.stack.is_empty() {
-            return self.err(XmlErrorKind::TrailingContent);
-        }
-        self.pos += 1; // consume '<'
-        let name = self.take_name()?;
-        loop {
-            self.skip_ws();
-            match self.peek_byte() {
-                Some(b'>') => {
-                    self.pos += 1;
-                    self.stack.push(name);
-                    self.saw_root_open = true;
-                    return Ok(StreamEvent::Start { name, empty: false });
-                }
-                Some(b'/') => {
-                    self.pos += 1;
-                    if self.peek_byte() != Some(b'>') {
-                        return self.err(XmlErrorKind::UnexpectedChar {
-                            expected: "'>' after '/'",
-                            found: self.peek_char(),
-                        });
-                    }
-                    self.pos += 1;
-                    self.stack.push(name);
-                    self.saw_root_open = true;
-                    self.pending_end = Some(name);
-                    return Ok(StreamEvent::Start { name, empty: true });
-                }
-                Some(_) => self.take_attribute_into(scratch)?,
-                None => return self.err(XmlErrorKind::UnexpectedEof("start tag")),
-            }
-        }
-    }
-
-    fn take_attribute_into(&mut self, scratch: &mut AttrScratch) -> XmlResult<()> {
-        let name_start = self.pos;
-        let name = self.take_name()?;
-        let name_end = self.pos;
-        self.skip_ws();
-        if self.peek_byte() != Some(b'=') {
-            return self.err(XmlErrorKind::UnexpectedChar {
-                expected: "'=' in attribute",
-                found: self.peek_char(),
-            });
-        }
-        self.pos += 1;
-        self.skip_ws();
-        let quote = match self.peek_byte() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => {
-                return self.err(XmlErrorKind::UnexpectedChar {
-                    expected: "quoted attribute value",
-                    found: self.peek_char(),
-                })
-            }
-        };
-        self.pos += 1;
-        let value_start = self.pos;
-        let Some(end) = self.input[value_start..].find(quote as char) else {
-            return self.err(XmlErrorKind::UnexpectedEof("attribute value"));
-        };
-        let raw = &self.input[value_start..value_start + end];
-        self.pos = value_start + end + 1;
-        // Unescape before the duplicate check so a bad entity reports
-        // first, matching the eventful path's error order.
-        let value = if raw.contains('&') {
-            let arena_start = scratch.arena.len();
-            unescape_into(raw, value_start, &mut scratch.arena)?;
-            ValueSpan::Arena {
-                start: arena_start,
-                end: scratch.arena.len(),
-            }
-        } else {
-            ValueSpan::Input {
-                start: value_start,
-                end: value_start + end,
-            }
-        };
-        if scratch
-            .attrs
-            .iter()
-            .any(|a| &self.input[a.name_start..a.name_end] == name)
-        {
-            return self.err(XmlErrorKind::DuplicateAttribute(name.to_string()));
-        }
-        scratch.attrs.push(RawAttr {
-            name_start,
-            name_end,
-            value,
-        });
-        Ok(())
-    }
-
-    /// [`PullParser::skip_subtree`] over the borrowing API: skips the
-    /// element whose start event was just returned via
-    /// [`PullParser::next_event_into`], performing full well-formedness
-    /// checks but no allocation.
+    /// Skip the remainder of the element whose start event was just
+    /// returned, including all of its descendants, performing full
+    /// well-formedness checks but no allocation. This is how a parser
+    /// avoids touching subtrees it does not need.
     pub fn skip_subtree_into(&mut self, scratch: &mut AttrScratch) -> XmlResult<()> {
         let target = self.stack.len();
         if target == 0 {
@@ -822,277 +604,241 @@ fn is_name_char(b: u8) -> bool {
 mod tests {
     use super::*;
 
-    fn all_events(input: &str) -> XmlResult<Vec<Event<'_>>> {
-        let mut parser = PullParser::new(input);
-        let mut out = Vec::new();
-        while let Some(ev) = parser.next_event()? {
-            out.push(ev);
-        }
-        Ok(out)
+    /// One event with its scratch payload copied out, so a whole stream
+    /// can be compared against an expected table.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Ev<'a> {
+        Start(&'a str, Vec<(&'a str, String)>, bool),
+        End(&'a str),
+        Text(String),
+        Comment(&'a str),
+        Decl(&'a str),
     }
 
-    #[test]
-    fn parses_empty_element_with_attributes() {
-        let events = all_events(r#"<METRIC NAME="cpu_num" VAL="2" TYPE="int"/>"#).unwrap();
-        assert_eq!(events.len(), 2);
-        match &events[0] {
-            Event::Start {
-                name,
-                attributes,
-                empty,
-            } => {
-                assert_eq!(*name, "METRIC");
-                assert!(*empty);
-                assert_eq!(attributes.len(), 3);
-                assert_eq!(attributes[0].name, "NAME");
-                assert_eq!(attributes[0].value, "cpu_num");
-                assert_eq!(attributes[2].value, "int");
-            }
-            other => panic!("expected start, got {other:?}"),
-        }
-        assert_eq!(events[1], Event::End { name: "METRIC" });
+    fn start<'a>(name: &'a str, attrs: &[(&'a str, &str)], empty: bool) -> Ev<'a> {
+        Ev::Start(
+            name,
+            attrs.iter().map(|&(n, v)| (n, v.to_string())).collect(),
+            empty,
+        )
     }
 
-    #[test]
-    fn parses_nested_elements_and_text() {
-        let events = all_events("<A><B>hello &amp; goodbye</B></A>").unwrap();
-        assert_eq!(events.len(), 5);
-        assert_eq!(events[2], Event::Text(Cow::Owned("hello & goodbye".into())));
+    fn text(s: &str) -> Ev<'_> {
+        Ev::Text(s.to_string())
     }
 
-    #[test]
-    fn whitespace_between_tags_is_skipped() {
-        let events = all_events("<A>\n  <B/>\n</A>").unwrap();
-        assert!(events.iter().all(|e| !matches!(e, Event::Text(_))));
-        assert_eq!(events.len(), 4);
-    }
-
-    #[test]
-    fn single_quoted_attributes() {
-        let events = all_events("<A X='1'/>").unwrap();
-        match &events[0] {
-            Event::Start { attributes, .. } => assert_eq!(attributes[0].value, "1"),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn rejects_mismatched_close() {
-        let err = all_events("<A><B></A></B>").unwrap_err();
-        assert!(matches!(err.kind, XmlErrorKind::MismatchedClose { .. }));
-    }
-
-    #[test]
-    fn rejects_unclosed_elements() {
-        let err = all_events("<A><B>").unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::UnclosedElements(2));
-    }
-
-    #[test]
-    fn rejects_duplicate_attribute() {
-        let err = all_events(r#"<A X="1" X="2"/>"#).unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::DuplicateAttribute("X".into()));
-    }
-
-    #[test]
-    fn rejects_second_root() {
-        let err = all_events("<A/><B/>").unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::TrailingContent);
-    }
-
-    #[test]
-    fn rejects_text_outside_root() {
-        assert!(all_events("<A/>junk").is_err());
-        assert!(all_events("junk<A/>").is_err());
-    }
-
-    #[test]
-    fn rejects_empty_document() {
-        let err = all_events("   ").unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::NoRootElement);
-    }
-
-    #[test]
-    fn accepts_declaration_doctype_and_comment() {
-        let doc = "<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?>\n\
-                   <!DOCTYPE GANGLIA_XML [ <!ELEMENT GANGLIA_XML (GRID)*> ]>\n\
-                   <!-- report --><GANGLIA_XML/>";
-        let events = all_events(doc).unwrap();
-        assert!(matches!(events[0], Event::Decl(_)));
-        assert!(matches!(events[1], Event::Decl(d) if d.contains("DOCTYPE")));
-        assert_eq!(events[2], Event::Comment(" report "));
-    }
-
-    #[test]
-    fn cdata_is_text() {
-        let events = all_events("<A><![CDATA[x < y & z]]></A>").unwrap();
-        assert_eq!(events[1], Event::Text(Cow::Borrowed("x < y & z")));
-    }
-
-    #[test]
-    fn attribute_values_are_borrowed_when_plain() {
-        let doc = r#"<A X="plain"/>"#;
-        let mut parser = PullParser::new(doc);
-        match parser.next_event().unwrap().unwrap() {
-            Event::Start { attributes, .. } => {
-                assert!(matches!(attributes[0].value, Cow::Borrowed(_)));
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn skip_subtree_skips_descendants() {
-        let doc = "<A><B><C/><D>text</D></B><E/></A>";
-        let mut parser = PullParser::new(doc);
-        assert_eq!(
-            parser.next_event().unwrap().unwrap().start_name(),
-            Some("A")
-        );
-        assert_eq!(
-            parser.next_event().unwrap().unwrap().start_name(),
-            Some("B")
-        );
-        parser.skip_subtree().unwrap();
-        // Next event should be the start of E.
-        assert_eq!(
-            parser.next_event().unwrap().unwrap().start_name(),
-            Some("E")
-        );
-    }
-
-    #[test]
-    fn raw_skip_matches_event_skip() {
-        let docs = [
-            "<A><B><C/><D>text</D></B><E/></A>",
-            "<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>",
-            "<A><B><!-- gt > inside --><![CDATA[ x > y ]]><?pi > ?><C/></B><E/></A>",
-            "<A><B/><E/></A>",
-        ];
-        for doc in docs {
-            let mut parser = PullParser::new(doc);
-            parser.next_event().unwrap(); // <A>
-            parser.next_event().unwrap(); // <B ...>
-            let mut raw = parser.clone();
-            parser.skip_subtree().unwrap();
-            raw.skip_subtree_raw().unwrap();
-            assert_eq!(raw.offset(), parser.offset(), "offset diverged on {doc}");
-            assert_eq!(raw.depth(), parser.depth(), "depth diverged on {doc}");
-            // Both parsers resume identically.
-            assert_eq!(
-                raw.next_event().unwrap().unwrap().start_name(),
-                Some("E"),
-                "resume diverged on {doc}"
-            );
-        }
-    }
-
-    #[test]
-    fn raw_skip_rejects_truncated_subtree() {
-        let mut parser = PullParser::new("<A><B><C>");
-        parser.next_event().unwrap();
-        parser.next_event().unwrap();
-        assert!(parser.skip_subtree_raw().is_err());
-    }
-
-    #[test]
-    fn event_span_covers_subtree() {
-        let doc = "<A><B X=\"1\"><C/></B><E/></A>";
-        let mut parser = PullParser::new(doc);
-        parser.next_event().unwrap(); // <A>
-        parser.next_event().unwrap(); // <B>
-        let start = parser.last_event_start();
-        parser.skip_subtree_raw().unwrap();
-        assert_eq!(&doc[start..parser.offset()], "<B X=\"1\"><C/></B>");
-    }
-
-    /// Drain a document through the borrowing API, materializing each
-    /// event into the eventful `Event` shape so the two streams can be
-    /// compared exactly.
-    fn all_stream_events(input: &str) -> XmlResult<Vec<Event<'_>>> {
+    fn all_events(input: &str) -> XmlResult<Vec<Ev<'_>>> {
         let mut parser = PullParser::new(input);
         let mut scratch = AttrScratch::new();
         let mut out = Vec::new();
         while let Some(ev) = parser.next_event_into(&mut scratch)? {
             out.push(match ev {
-                StreamEvent::Start { name, empty } => Event::Start {
+                StreamEvent::Start { name, empty } => Ev::Start(
                     name,
-                    attributes: (0..scratch.len())
-                        .map(|i| Attribute {
-                            name: scratch.name(input, i),
-                            value: Cow::Owned(scratch.value(input, i).to_string()),
-                        })
+                    (0..scratch.len())
+                        .map(|i| (scratch.name(input, i), scratch.value(input, i).to_string()))
                         .collect(),
                     empty,
-                },
-                StreamEvent::End { name } => Event::End { name },
-                StreamEvent::Text => {
-                    Event::Text(Cow::Owned(scratch.text(input).unwrap().to_string()))
-                }
-                StreamEvent::Comment(body) => Event::Comment(body),
-                StreamEvent::Decl(body) => Event::Decl(body),
+                ),
+                StreamEvent::End { name } => Ev::End(name),
+                StreamEvent::Text => Ev::Text(scratch.text(input).unwrap().to_string()),
+                StreamEvent::Comment(body) => Ev::Comment(body),
+                StreamEvent::Decl(body) => Ev::Decl(body),
             });
         }
         Ok(out)
     }
 
-    fn assert_streams_match(doc: &str) {
-        let eventful = all_events(doc);
-        let streaming = all_stream_events(doc);
-        match (eventful, streaming) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.len(), "event count diverged on {doc:?}");
-                for (x, y) in a.iter().zip(&b) {
-                    // Values compare by content; Cow Borrowed/Owned differ.
-                    assert_eq!(x, y, "event diverged on {doc:?}");
-                }
+    fn start_name(ev: Option<StreamEvent<'_>>) -> Option<&str> {
+        match ev {
+            Some(StreamEvent::Start { name, .. }) => Some(name),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn well_formed_docs_yield_expected_events() {
+        let cases: Vec<(&str, Vec<Ev>)> = vec![
+            (
+                r#"<METRIC NAME="cpu_num" VAL="2" TYPE="int"/>"#,
+                vec![
+                    start(
+                        "METRIC",
+                        &[("NAME", "cpu_num"), ("VAL", "2"), ("TYPE", "int")],
+                        true,
+                    ),
+                    Ev::End("METRIC"),
+                ],
+            ),
+            (
+                "<A><B>hello &amp; goodbye</B></A>",
+                vec![
+                    start("A", &[], false),
+                    start("B", &[], false),
+                    text("hello & goodbye"),
+                    Ev::End("B"),
+                    Ev::End("A"),
+                ],
+            ),
+            (
+                // Inter-tag whitespace produces no text events.
+                "<A>\n  <B/>\n</A>",
+                vec![
+                    start("A", &[], false),
+                    start("B", &[], true),
+                    Ev::End("B"),
+                    Ev::End("A"),
+                ],
+            ),
+            (
+                "<A X='1'/>",
+                vec![start("A", &[("X", "1")], true), Ev::End("A")],
+            ),
+            (
+                r#"<A X="a&lt;b" Y="&#65;&#x42;">t&amp;u</A>"#,
+                vec![
+                    start("A", &[("X", "a<b"), ("Y", "AB")], false),
+                    text("t&u"),
+                    Ev::End("A"),
+                ],
+            ),
+            (
+                "<?xml version=\"1.0\"?><!DOCTYPE G [ <!ELEMENT G (X)*> ]><!-- c --><G/>",
+                vec![
+                    Ev::Decl("xml version=\"1.0\""),
+                    Ev::Decl("DOCTYPE G [ <!ELEMENT G (X)*> ]"),
+                    Ev::Comment(" c "),
+                    start("G", &[], true),
+                    Ev::End("G"),
+                ],
+            ),
+            (
+                // CDATA is text, taken raw (no entity expansion).
+                "<A><![CDATA[x < y & z]]></A>",
+                vec![start("A", &[], false), text("x < y & z"), Ev::End("A")],
+            ),
+            (
+                "<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>",
+                vec![
+                    start("A", &[], false),
+                    start("B", &[("X", "a>b"), ("Y", "c>d")], false),
+                    start("C", &[], true),
+                    Ev::End("C"),
+                    Ev::End("B"),
+                    start("E", &[], true),
+                    Ev::End("E"),
+                    Ev::End("A"),
+                ],
+            ),
+        ];
+        for (doc, want) in cases {
+            assert_eq!(all_events(doc).unwrap(), want, "events of {doc:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_docs_fail_with_expected_kind() {
+        let cases: Vec<(&str, XmlErrorKind)> = vec![
+            (
+                "<A><B></A></B>",
+                XmlErrorKind::MismatchedClose {
+                    open: "B".into(),
+                    close: "A".into(),
+                },
+            ),
+            ("<A><B>", XmlErrorKind::UnclosedElements(2)),
+            (
+                r#"<A X="1" X="2"/>"#,
+                XmlErrorKind::DuplicateAttribute("X".into()),
+            ),
+            ("<A/><B/>", XmlErrorKind::TrailingContent),
+            ("<A/>junk", XmlErrorKind::TrailingContent),
+            ("junk<A/>", XmlErrorKind::TrailingContent),
+            ("<A/><![CDATA[x]]>", XmlErrorKind::TrailingContent),
+            ("   ", XmlErrorKind::NoRootElement),
+            ("</A>", XmlErrorKind::UnmatchedClose("A".into())),
+            ("<A X=\"1/>", XmlErrorKind::UnexpectedEof("attribute value")),
+            (
+                "<A X=1/>",
+                XmlErrorKind::UnexpectedChar {
+                    expected: "quoted attribute value",
+                    found: '1',
+                },
+            ),
+            (
+                "<A X/>",
+                XmlErrorKind::UnexpectedChar {
+                    expected: "'=' in attribute",
+                    found: '/',
+                },
+            ),
+            (
+                "<A/ >",
+                XmlErrorKind::UnexpectedChar {
+                    expected: "'>' after '/'",
+                    found: ' ',
+                },
+            ),
+            ("<A></A >x", XmlErrorKind::TrailingContent),
+            (
+                "<A></A x>",
+                XmlErrorKind::UnexpectedChar {
+                    expected: "'>' to finish close tag",
+                    found: 'x',
+                },
+            ),
+            ("<1/>", XmlErrorKind::BadName),
+            (
+                "<A><B>x&bogus;y</B></A>",
+                XmlErrorKind::BadEntity("bogus".into()),
+            ),
+            (
+                r#"<A X="a&nope;b"/>"#,
+                XmlErrorKind::BadEntity("nope".into()),
+            ),
+            (r#"<A X="a&amp"/>"#, XmlErrorKind::BadEntity("amp".into())),
+            // A bad entity reports before the duplicate it sits in.
+            (
+                r#"<A X="1" X="&bad;"/>"#,
+                XmlErrorKind::BadEntity("bad".into()),
+            ),
+            ("<A", XmlErrorKind::UnexpectedEof("start tag")),
+            ("<", XmlErrorKind::UnexpectedEof("markup")),
+            (
+                "<A><!-- never closed",
+                XmlErrorKind::UnexpectedEof("comment"),
+            ),
+            (
+                "<A><![CDATA[never closed",
+                XmlErrorKind::UnexpectedEof("CDATA section"),
+            ),
+            (
+                "<?pi never closed",
+                XmlErrorKind::UnexpectedEof("processing instruction"),
+            ),
+            (
+                "<!DOCTYPE G [ <!x> ",
+                XmlErrorKind::UnexpectedEof("declaration"),
+            ),
+        ];
+        for (doc, want) in cases {
+            match all_events(doc) {
+                Err(err) => assert_eq!(err.kind, want, "error kind of {doc:?}"),
+                Ok(events) => panic!("{doc:?} parsed: {events:?}"),
             }
-            (Err(a), Err(b)) => assert_eq!(a, b, "errors diverged on {doc:?}"),
-            (a, b) => panic!("outcome diverged on {doc:?}: eventful={a:?} streaming={b:?}"),
         }
     }
 
     #[test]
-    fn streaming_matches_eventful_on_well_formed_docs() {
-        for doc in [
-            r#"<METRIC NAME="cpu_num" VAL="2" TYPE="int"/>"#,
-            "<A><B>hello &amp; goodbye</B></A>",
-            "<A>\n  <B/>\n</A>",
-            "<A X='1'/>",
-            r#"<A X="a&lt;b" Y="&#65;&#x42;">t&amp;u</A>"#,
-            "<?xml version=\"1.0\"?><!DOCTYPE G [ <!ELEMENT G (X)*> ]><!-- c --><G/>",
-            "<A><![CDATA[x < y & z]]></A>",
-            "<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>",
-        ] {
-            assert_streams_match(doc);
-        }
-    }
-
-    #[test]
-    fn streaming_matches_eventful_on_malformed_docs() {
-        for doc in [
-            "<A><B></A></B>",
-            "<A><B>",
-            r#"<A X="1" X="2"/>"#,
-            "<A/><B/>",
-            "<A/>junk",
-            "junk<A/>",
-            "   ",
-            "<A X=\"1/>",
-            "<A X=1/>",
-            "<A X/>",
-            "<A><B>x&bogus;y</B></A>",
-            r#"<A X="a&nope;b"/>"#,
-            r#"<A X="a&amp"/>"#,
-            "<A",
-            "<",
-            "<A><!-- never closed",
-            "<A><![CDATA[never closed",
-            "<?pi never closed",
-            "<!DOCTYPE G [ <!x> ",
-        ] {
-            assert_streams_match(doc);
-        }
+    fn error_offsets_point_at_the_fault() {
+        // Close-tag errors report the name's offset; everything else the
+        // position the parser stopped at.
+        let err = all_events("<A><B></A></B>").unwrap_err();
+        assert_eq!(err.offset, 8);
+        let err = all_events(r#"<A X="1" X="2"/>"#).unwrap_err();
+        assert_eq!(err.offset, 14);
+        let err = all_events("<A><B>x&bogus;y</B></A>").unwrap_err();
+        assert_eq!(err.offset, 7);
     }
 
     #[test]
@@ -1113,6 +859,11 @@ mod tests {
         assert_eq!(scratch.get(doc, "ESC"), Some("a<b"));
         assert_eq!(scratch.get(doc, "NUM"), Some("ABc"));
         assert_eq!(scratch.get(doc, "MISSING"), None);
+        // Plain values are spans of the input, not arena copies.
+        assert_eq!(
+            scratch.get(doc, "PLAIN").unwrap().as_ptr(),
+            doc[10..].as_ptr()
+        );
         // The synthesized end clears the scratch.
         let ev = parser.next_event_into(&mut scratch).unwrap().unwrap();
         assert_eq!(ev, StreamEvent::End { name: "A" });
@@ -1140,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_subtree_into_matches_event_skip() {
+    fn skip_subtree_into_skips_descendants() {
         let docs = [
             "<A><B><C/><D>text</D></B><E/></A>",
             "<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>",
@@ -1149,17 +900,16 @@ mod tests {
         let mut scratch = AttrScratch::new();
         for doc in docs {
             let mut parser = PullParser::new(doc);
-            parser.next_event_into(&mut scratch).unwrap(); // <A>
-            parser.next_event_into(&mut scratch).unwrap(); // <B ...>
-            let mut eventful = parser.clone();
-            eventful.skip_subtree().unwrap();
-            parser.skip_subtree_into(&mut scratch).unwrap();
             assert_eq!(
-                parser.offset(),
-                eventful.offset(),
-                "offset diverged on {doc}"
+                start_name(parser.next_event_into(&mut scratch).unwrap()),
+                Some("A")
             );
-            assert_eq!(parser.depth(), eventful.depth(), "depth diverged on {doc}");
+            assert_eq!(
+                start_name(parser.next_event_into(&mut scratch).unwrap()),
+                Some("B")
+            );
+            parser.skip_subtree_into(&mut scratch).unwrap();
+            assert_eq!(parser.depth(), 1, "depth after skip on {doc}");
             assert_eq!(
                 parser.next_event_into(&mut scratch).unwrap().unwrap(),
                 StreamEvent::Start {
@@ -1172,13 +922,72 @@ mod tests {
     }
 
     #[test]
+    fn skip_subtree_into_checks_well_formedness() {
+        let mut scratch = AttrScratch::new();
+        let mut parser = PullParser::new("<A><B><C></D></B></A>");
+        parser.next_event_into(&mut scratch).unwrap();
+        parser.next_event_into(&mut scratch).unwrap();
+        let err = parser.skip_subtree_into(&mut scratch).unwrap_err();
+        assert!(matches!(err.kind, XmlErrorKind::MismatchedClose { .. }));
+    }
+
+    #[test]
+    fn raw_skip_matches_event_skip() {
+        let docs = [
+            "<A><B><C/><D>text</D></B><E/></A>",
+            "<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>",
+            "<A><B><!-- gt > inside --><![CDATA[ x > y ]]><?pi > ?><C/></B><E/></A>",
+            "<A><B/><E/></A>",
+        ];
+        let mut scratch = AttrScratch::new();
+        for doc in docs {
+            let mut parser = PullParser::new(doc);
+            parser.next_event_into(&mut scratch).unwrap(); // <A>
+            parser.next_event_into(&mut scratch).unwrap(); // <B ...>
+            let mut raw = parser.clone();
+            parser.skip_subtree_into(&mut scratch).unwrap();
+            raw.skip_subtree_raw().unwrap();
+            assert_eq!(raw.offset(), parser.offset(), "offset diverged on {doc}");
+            assert_eq!(raw.depth(), parser.depth(), "depth diverged on {doc}");
+            // Both parsers resume identically.
+            assert_eq!(
+                start_name(raw.next_event_into(&mut scratch).unwrap()),
+                Some("E"),
+                "resume diverged on {doc}"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_skip_rejects_truncated_subtree() {
+        let mut scratch = AttrScratch::new();
+        let mut parser = PullParser::new("<A><B><C>");
+        parser.next_event_into(&mut scratch).unwrap();
+        parser.next_event_into(&mut scratch).unwrap();
+        assert!(parser.skip_subtree_raw().is_err());
+    }
+
+    #[test]
+    fn event_span_covers_subtree() {
+        let doc = "<A><B X=\"1\"><C/></B><E/></A>";
+        let mut scratch = AttrScratch::new();
+        let mut parser = PullParser::new(doc);
+        parser.next_event_into(&mut scratch).unwrap(); // <A>
+        parser.next_event_into(&mut scratch).unwrap(); // <B>
+        let start = parser.last_event_start();
+        parser.skip_subtree_raw().unwrap();
+        assert_eq!(&doc[start..parser.offset()], "<B X=\"1\"><C/></B>");
+    }
+
+    #[test]
     fn depth_tracks_nesting() {
+        let mut scratch = AttrScratch::new();
         let mut parser = PullParser::new("<A><B/></A>");
-        parser.next_event().unwrap();
+        parser.next_event_into(&mut scratch).unwrap();
         assert_eq!(parser.depth(), 1);
-        parser.next_event().unwrap(); // <B/> start
+        parser.next_event_into(&mut scratch).unwrap(); // <B/> start
         assert_eq!(parser.depth(), 2);
-        parser.next_event().unwrap(); // B end
+        parser.next_event_into(&mut scratch).unwrap(); // B end
         assert_eq!(parser.depth(), 1);
     }
 }

@@ -181,7 +181,24 @@ impl<'w, W: Write> XmlWriter<'w, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dom::Element;
+    use crate::pull::{AttrScratch, PullParser, StreamEvent};
+
+    /// Every start tag of `xml` as `depth NAME ATTR=value...`.
+    fn structure(xml: &str) -> Vec<String> {
+        let mut parser = PullParser::new(xml);
+        let mut scratch = AttrScratch::new();
+        let mut out = Vec::new();
+        while let Some(ev) = parser.next_event_into(&mut scratch).unwrap() {
+            if let StreamEvent::Start { name, .. } = ev {
+                let mut line = format!("{} {name}", parser.depth());
+                for i in 0..scratch.len() {
+                    line += &format!(" {}={}", scratch.name(xml, i), scratch.value(xml, i));
+                }
+                out.push(line);
+            }
+        }
+        out
+    }
 
     #[test]
     fn writes_nested_document() {
@@ -222,24 +239,30 @@ mod tests {
 
     #[test]
     fn pretty_output_is_parseable_and_equivalent() {
-        let mut out = String::new();
-        let mut w = XmlWriter::pretty(&mut out);
-        w.declaration();
-        w.start_element("GRID", &[("NAME", "SDSC")]);
-        w.start_element("CLUSTER", &[("NAME", "Meteor")]);
-        w.empty_element("HOST", &[("NAME", "n0")]);
+        let write = |w: &mut XmlWriter<'_, String>| {
+            w.declaration();
+            w.start_element("GRID", &[("NAME", "SDSC")]);
+            w.start_element("CLUSTER", &[("NAME", "Meteor")]);
+            w.empty_element("HOST", &[("NAME", "n0")]);
+        };
+        let mut pretty = String::new();
+        let mut w = XmlWriter::pretty(&mut pretty);
+        write(&mut w);
         w.finish().unwrap();
-        assert!(out.contains('\n'));
-        let dom = Element::parse(&out).unwrap();
-        assert_eq!(dom.name, "GRID");
+        let mut compact = String::new();
+        let mut w = XmlWriter::new(&mut compact);
+        write(&mut w);
+        w.finish().unwrap();
+        assert!(pretty.contains('\n'));
         assert_eq!(
-            dom.child("CLUSTER")
-                .unwrap()
-                .child("HOST")
-                .unwrap()
-                .attr("NAME"),
-            Some("n0")
+            structure(&pretty),
+            [
+                "1 GRID NAME=SDSC",
+                "2 CLUSTER NAME=Meteor",
+                "3 HOST NAME=n0"
+            ]
         );
+        assert_eq!(structure(&pretty), structure(&compact));
     }
 
     #[test]

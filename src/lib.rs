@@ -10,7 +10,7 @@
 //!
 //! | module | crate | what it is |
 //! |---|---|---|
-//! | [`xml`] | `ganglia-xml` | the Ganglia XML data language (pull parser, DOM, writer) |
+//! | [`xml`] | `ganglia-xml` | the Ganglia XML data language (pull parser, writer) |
 //! | [`metrics`] | `ganglia-metrics` | metric types, built-in metric set, the typed monitoring tree |
 //! | [`rrd`] | `ganglia-rrd` | round-robin time-series database (RRDtool-style) |
 //! | [`net`] | `ganglia-net` | transports: deterministic in-memory network + real TCP |
