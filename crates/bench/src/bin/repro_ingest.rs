@@ -1,6 +1,7 @@
 //! Measure the allocation-lean ingest path: rebuild-every-round
-//! parse+summarize vs the delta-aware [`Ingester`] across churn levels,
-//! with a counting allocator to show the per-round allocation win.
+//! parse+summarize vs the delta-aware
+//! [`Ingester`](ganglia_metrics::Ingester) across churn levels, with a
+//! counting allocator to show the per-round allocation win.
 //!
 //! Usage: `repro_ingest [hosts] [rounds] [--smoke] [--json <path>]`
 //!

@@ -14,7 +14,7 @@ use ganglia_core::TreeMode;
 use ganglia_sim::experiments::table1::View;
 use ganglia_sim::experiments::{
     FederationResult, Fig5Result, Fig6Result, IngestResult, IsolationResult, PropagationResult,
-    QueryResult, ServingResult, Table1Result,
+    QueryResult, ServingResult, Table1Result, ThroughputRow,
 };
 
 /// Allocation counts measured by the `repro_ingest` binary's counting
@@ -549,9 +549,25 @@ pub fn render_freshness_json(result: &PropagationResult) -> String {
     out
 }
 
-/// Render the federation-scale sweep: throughput vs shard count against
-/// the seed-store baseline, root latency vs source count, per-level CPU,
-/// and the byte-identity churn sweep.
+/// The write-throughput rows of a federation run: (store, load, row,
+/// the seed row it is compared with).
+fn federation_throughput_rows(
+    result: &FederationResult,
+) -> [(&str, &str, &ThroughputRow, &ThroughputRow); 4] {
+    let (seed, store) = (&result.baseline, &result.throughput);
+    let (seed_only, store_only) = (&result.replace_only_baseline, &result.replace_only);
+    [
+        ("seed (1 lock)", "replace+refresh", seed, seed),
+        ("incremental", "replace+refresh", store, seed),
+        ("seed (1 lock)", "replace-only", seed_only, seed_only),
+        ("incremental", "replace-only", store_only, seed_only),
+    ]
+}
+
+/// Render the federation-scale run: write throughput of the store
+/// against the seed-store baseline (with and without root refreshes),
+/// root latency vs source count, per-level CPU, and the byte-identity
+/// churn sweep.
 pub fn render_federation(result: &FederationResult) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -565,36 +581,40 @@ pub fn render_federation(result: &FederationResult) -> String {
     );
     let _ = writeln!(
         out,
-        "\nreplace+root-refresh throughput, {} writers:",
+        "\nwrite throughput, {} writers:",
         result.params.writers
     );
     let _ = writeln!(
         out,
-        "{:<16} {:>10} {:>12} {:>10} {:>14} {:>14}",
-        "store", "ops", "ops/sec", "speedup", "inputs/merge", "source touches"
+        "{:<14} {:<16} {:>8} {:>12} {:>10} {:>14} {:>14}",
+        "store", "load", "ops", "ops/sec", "speedup", "inputs/merge", "source touches"
     );
-    let _ = writeln!(
-        out,
-        "{:<16} {:>10} {:>12.0} {:>10} {:>14} {:>14}",
-        "seed (1 lock)", result.baseline.ops, result.baseline.ops_per_sec, "1.00x", "-", "-"
-    );
-    for row in &result.throughput {
+    for (store, load, row, baseline) in federation_throughput_rows(result) {
+        // The seed replica keeps no counters; replace-only runs merge no
+        // root summary.
+        let inputs = if row.root_merge_inputs_per_merge > 0.0 {
+            format!("{:.1}", row.root_merge_inputs_per_merge)
+        } else {
+            "-".to_string()
+        };
+        let touches = if std::ptr::eq(row, baseline) {
+            "-".to_string()
+        } else {
+            row.source_touches.to_string()
+        };
         let _ = writeln!(
             out,
-            "{:<16} {:>10} {:>12.0} {:>9.2}x {:>14.1} {:>14}",
-            format!("{} shards", row.shards),
+            "{:<14} {:<16} {:>8} {:>12.0} {:>9.2}x {:>14} {:>14}",
+            store,
+            load,
             row.ops,
             row.ops_per_sec,
-            row.speedup_over(&result.baseline),
-            row.root_merge_inputs_per_merge,
-            row.source_touches
+            row.speedup_over(baseline),
+            inputs,
+            touches
         );
     }
-    let _ = writeln!(
-        out,
-        "\nuncached root-summary latency, {} shards fixed:",
-        result.params.fixed_shards
-    );
+    let _ = writeln!(out, "\nuncached root-summary latency:");
     let _ = writeln!(
         out,
         "{:>10} {:>12} {:>14}",
@@ -620,7 +640,7 @@ pub fn render_federation(result: &FederationResult) -> String {
             row.label, row.nodes, row.merges, row.cpu_ms
         );
     }
-    let _ = writeln!(out, "\nbyte identity vs unsharded seed path:");
+    let _ = writeln!(out, "\nbyte identity vs rebuild-every-mutation path:");
     for row in &result.identity {
         let _ = writeln!(
             out,
@@ -644,23 +664,18 @@ pub fn render_federation_json(result: &FederationResult) -> String {
         result.params.metrics_per_host,
         result.params.writers
     );
-    let _ = write!(
-        out,
-        "\"baseline\":{{\"ops\":{},\"ops_per_sec\":{:.1}}},\"throughput\":[",
-        result.baseline.ops, result.baseline.ops_per_sec
-    );
-    for (i, row) in result.throughput.iter().enumerate() {
+    out.push_str("\"throughput\":[");
+    for (i, (store, load, row, baseline)) in federation_throughput_rows(result).iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"shards\":{},\"ops\":{},\"ops_per_sec\":{:.1},\"speedup\":{:.3},\
-             \"root_merge_inputs_per_merge\":{:.1},\"source_touches\":{}}}",
-            row.shards,
+            "{{\"store\":\"{store}\",\"load\":\"{load}\",\"ops\":{},\"ops_per_sec\":{:.1},\
+             \"speedup\":{:.3},\"root_merge_inputs_per_merge\":{:.1},\"source_touches\":{}}}",
             row.ops,
             row.ops_per_sec,
-            row.speedup_over(&result.baseline),
+            row.speedup_over(baseline),
             row.root_merge_inputs_per_merge,
             row.source_touches
         );

@@ -239,14 +239,6 @@ pub fn parse_conf(input: &str) -> Result<ParsedConf, ConfError> {
             "round_deadline_secs" => {
                 config.round_deadline_secs = parse_u64_arg(directive, args, &err)?;
             }
-            "store_shards" => {
-                let value = parse_u64_arg(directive, args, &err)?;
-                config.store_shards = usize::try_from(value)
-                    .map_err(|_| err(format!("store_shards {value} is too large")))?;
-            }
-            "summary_rebuild_rounds" => {
-                config.summary_rebuild_rounds = parse_u64_arg(directive, args, &err)?;
-            }
             "self_telemetry" => {
                 let [value] = args else {
                     return Err(err("self_telemetry takes one value (on/off)".into()));
@@ -559,28 +551,20 @@ fetch_timeout_secs 5
     }
 
     #[test]
-    fn store_sharding_knobs_parse_and_default_to_auto() {
-        let defaults = parse_conf("gridname \"X\"\n").unwrap().config;
-        assert_eq!(defaults.store_shards, 0, "0 = align with poll workers");
-        assert_eq!(
-            defaults.summary_rebuild_rounds,
-            crate::store::DEFAULT_REBUILD_ROUNDS
-        );
-        let parsed = parse_conf(
-            "gridname \"X\"\n\
-             store_shards 32\n\
-             summary_rebuild_rounds 16\n",
-        )
-        .unwrap();
-        assert_eq!(parsed.config.store_shards, 32);
-        assert_eq!(parsed.config.summary_rebuild_rounds, 16);
-        // The resolved count follows poll concurrency when automatic.
-        let auto = parse_conf("gridname \"X\"\npoll_concurrency 12\n")
-            .unwrap()
-            .config;
-        assert_eq!(auto.resolved_store_shards(), 12);
-        assert!(parse_conf("gridname \"X\"\nstore_shards many\n").is_err());
-        assert!(parse_conf("gridname \"X\"\nsummary_rebuild_rounds -1\n").is_err());
+    fn store_sharding_knobs_are_unknown_directives() {
+        // The store is one lock; its old tuning knobs fail like any
+        // other unknown directive, at their own line.
+        let err = parse_conf("gridname \"X\"\nstore_shards 8\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.reason.contains("unknown directive"), "{err}");
+    }
+
+    #[test]
+    fn example_conf_parses() {
+        let parsed = parse_conf(include_str!("../../../examples/gmetad.conf")).unwrap();
+        assert_eq!(parsed.config.grid_name, "SDSC");
+        assert_eq!(parsed.config.data_sources.len(), 2);
+        assert_eq!(parsed.interactive_port, 18652);
     }
 
     #[test]

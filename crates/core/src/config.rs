@@ -141,18 +141,6 @@ pub struct GmetadConfig {
     /// Unread delta frames a subscriber may accumulate before its
     /// subscription is evicted (each frame covers one poll round).
     pub sub_queue_depth: usize,
-    /// Store shard count: concurrent poll workers writing different
-    /// sources land on disjoint locks, and the root summary merges one
-    /// incrementally-maintained summary per shard instead of every
-    /// source. `0` (the default) aligns the count with the poll worker
-    /// pool; see [`GmetadConfig::resolved_store_shards`].
-    pub store_shards: usize,
-    /// Anti-drift cadence for the incremental shard summaries: each
-    /// shard re-merges itself from scratch after this many applied
-    /// deltas, bounding float rounding drift. `0` disables rebuilds
-    /// (pure incremental); `1` re-merges on every mutation (the old
-    /// full-re-merge behaviour, kept as the bench reference path).
-    pub summary_rebuild_rounds: u64,
 }
 
 impl GmetadConfig {
@@ -178,8 +166,6 @@ impl GmetadConfig {
             subscriptions: true,
             max_subscriptions: 64,
             sub_queue_depth: 8,
-            store_shards: 0,
-            summary_rebuild_rounds: crate::store::DEFAULT_REBUILD_ROUNDS,
         }
     }
 
@@ -195,20 +181,11 @@ impl GmetadConfig {
         configured.min(sources).max(1)
     }
 
-    /// The store shard count this configuration resolves to: the
-    /// explicit `store_shards` (clamped to the store's supported
-    /// range), or — when automatic — a count aligned with the poll
-    /// worker pool, so a full-width round of concurrent replaces meets
-    /// as little lock contention as the pool allows.
+    /// Always 1: the store is one lock over every source. Kept only
+    /// because the `perfbench` end-to-end benchmark calls it to label
+    /// its workloads; it can go once that benchmark stops reading it.
     pub fn resolved_store_shards(&self) -> usize {
-        let aligned = if self.store_shards != 0 {
-            self.store_shards
-        } else if self.poll_concurrency == 0 {
-            crate::store::DEFAULT_STORE_SHARDS
-        } else {
-            self.poll_concurrency
-        };
-        aligned.clamp(1, crate::store::MAX_STORE_SHARDS)
+        1
     }
 
     /// Builder-style: set the tree mode.
@@ -295,20 +272,6 @@ impl GmetadConfig {
     /// least 1).
     pub fn with_sub_queue_depth(mut self, depth: usize) -> Self {
         self.sub_queue_depth = depth.max(1);
-        self
-    }
-
-    /// Builder-style: set the store shard count (`0` = align with the
-    /// poll worker pool).
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        self.store_shards = shards;
-        self
-    }
-
-    /// Builder-style: set the anti-drift rebuild cadence (`0` = never
-    /// rebuild, `1` = re-merge every mutation).
-    pub fn with_summary_rebuild_rounds(mut self, rounds: u64) -> Self {
-        self.summary_rebuild_rounds = rounds;
         self
     }
 }

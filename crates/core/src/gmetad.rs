@@ -128,10 +128,7 @@ impl Gmetad {
         let logical_clock = LogicalClock::new();
         let tracer = Tracer::new(Arc::clone(&registry), logical_clock.clone()).with_event_log(256);
         Arc::new(Gmetad {
-            store: Store::with_shards(
-                config.resolved_store_shards(),
-                config.summary_rebuild_rounds,
-            ),
+            store: Store::new(),
             archives: ArchiveShards::new(spec, persist_dir).with_journal(config.archive_journal),
             meter: Arc::new(WorkMeter::with_registry(Arc::clone(&registry))),
             pollers: RwLock::new(pollers),
@@ -442,18 +439,16 @@ impl Gmetad {
         result
     }
 
-    /// Mirror the store's operation counters into the registry after
-    /// each round: shard layout as a gauge, monotone work counters as
-    /// counters (advanced by the delta since the last mirror, so the
-    /// registry stays a faithful running total without extra state).
+    /// Mirror the store's monotone work counters into the registry
+    /// after each round (advanced by the delta since the last mirror, so
+    /// the registry stays a faithful running total without extra state).
     fn publish_store_stats(&self) {
         let stats = self.store.stats();
-        self.registry.gauge("store.shards").set(stats.shards as u64);
         let mirror = |name: &str, total: u64| {
             let counter = self.registry.counter(name);
             counter.add(total.saturating_sub(counter.get()));
         };
-        mirror("store.shard_replaces", stats.replaces);
+        mirror("store.replaces", stats.replaces);
         mirror("store.root_merges", stats.root_merges);
         mirror("store.root_merge_inputs", stats.root_merge_inputs);
         mirror("store.source_touches", stats.source_touches);
@@ -550,7 +545,7 @@ impl Gmetad {
                 snap.gauge("ingest.atoms_live").unwrap_or(0) as f64,
                 "atoms",
             ),
-            // Sharded-store maintenance: incremental summary work vs
+            // Store summary maintenance: incremental deltas vs
             // anti-drift rebuilds.
             metric(
                 "self.summary_deltas_total",

@@ -913,7 +913,7 @@ mod tests {
     #[test]
     fn reused_summary_arc_skips_the_store_delta_path() {
         // The delta-aware ingest reinstalls the previous round's
-        // summary `Arc` when a source did not change; the sharded store
+        // summary `Arc` when a source did not change; the store
         // recognizes the identical pointer and skips delta work
         // entirely. An unchanged round must cost zero summary updates.
         use crate::store::Store;

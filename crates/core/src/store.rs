@@ -7,7 +7,7 @@
 //! subtree: data sources, summaries and cluster nodes, and node metrics."
 //! (paper §3.3.2)
 //!
-//! Concretely: level one is the sharded source map below; level two is a
+//! Concretely: level one is the source map below; level two is a
 //! cluster's host index (or a grid's stored summary); level three is a
 //! host's metric list. Each source's state is an immutable snapshot
 //! behind an `Arc`: the poller builds a fresh snapshot off to the side
@@ -15,24 +15,22 @@
 //! previous summary will be returned" (§3.3.1) — queries always see the
 //! latest *fully-parsed* data, never a half-built one.
 //!
-//! # Sharding and incremental summaries
+//! # Incremental summaries
 //!
-//! At federation scale (hundreds of grids, ~100k hosts) the original
-//! single `RwLock<HashMap>` made every poll worker contend on one write
-//! lock, and `root_summary()` re-merged **every** source's summary on
-//! every revision bump — O(sources × metrics) per poll round even when
-//! one host changed. The store is therefore split into `N` shards keyed
-//! by an FNV-1a hash of the source name, so concurrent writers land on
-//! disjoint locks, and each shard maintains a merged [`SummaryBody`] of
-//! its own sources *incrementally*: a mutation applies the
+//! At federation scale (hundreds of grids, ~100k hosts) re-merging
+//! **every** source's summary on every revision bump made
+//! `root_summary()` O(sources × metrics) per poll round even when one
+//! host changed. The store therefore keeps a merged [`SummaryBody`] of
+//! all its sources next to the source map, under the same `RwLock`, and
+//! maintains it *incrementally*: a mutation applies the
 //! [`SummaryDelta`] between the source's old and new contribution
-//! instead of re-merging the shard. The root summary is then a merge of
-//! ≤N shard summaries — O(shards), not O(sources).
+//! instead of re-merging. An uncached root summary copies that one
+//! summary — O(metrics), not O(sources).
 //!
 //! Because `sum − old + new` can drift from a from-scratch merge by
-//! float rounding, every shard re-merges itself from scratch once per
-//! `rebuild_rounds` mutations (the anti-drift rebuild); see DESIGN.md
-//! §18 for the invariants.
+//! float rounding, the store re-merges from scratch once per
+//! `rebuild_rounds` deltas (the anti-drift rebuild); see DESIGN.md §18
+//! for the invariants and for why one lock beat lock sharding.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -185,37 +183,20 @@ impl SourceState {
 /// returns — cached per revision, so repeated queries share one vector).
 pub type SourceListing = Arc<Vec<Arc<SourceState>>>;
 
-/// Default shard count for stores built outside a gmetad config (tests,
-/// ad-hoc tools). `GmetadConfig::resolved_store_shards` aligns the real
-/// daemon's count with its poll concurrency instead.
-pub const DEFAULT_STORE_SHARDS: usize = 8;
-
-/// Default anti-drift cadence: a shard re-merges itself from scratch
-/// after this many applied deltas (0 = never rebuild).
+/// Default anti-drift cadence: the store re-merges its summary from
+/// scratch after this many applied deltas.
 pub const DEFAULT_REBUILD_ROUNDS: u64 = 64;
 
-/// Upper bound on the shard count: past this, per-shard merge overhead
-/// in `root_summary()` outweighs any lock-spreading benefit.
-pub const MAX_STORE_SHARDS: usize = 256;
-
-/// One shard's mutable state: its slice of the level-one hash table
+/// Everything the store's one lock guards: the level-one hash table
 /// plus the incrementally-maintained merge of its sources' summaries.
 #[derive(Debug, Default)]
-struct ShardState {
-    sources: HashMap<String, Arc<SourceState>>,
-    /// Merge of every source summary in this shard, maintained by
-    /// [`SummaryDelta`] application on each mutation.
+struct Sources {
+    by_name: HashMap<String, Arc<SourceState>>,
+    /// Merge of every source summary, maintained by [`SummaryDelta`]
+    /// application on each mutation.
     summary: SummaryBody,
     /// Deltas applied since the last from-scratch rebuild.
     deltas_since_rebuild: u64,
-    /// Global revision at this shard's last mutation (per-shard stamp:
-    /// disjoint writers move disjoint stamps).
-    revision: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    state: RwLock<ShardState>,
 }
 
 /// Monotonic operation counters, mirrored into gmetad telemetry as
@@ -233,15 +214,14 @@ struct Counters {
 
 /// A point-in-time snapshot of the store's operation counters.
 ///
-/// `root_merge_inputs / root_merges` is the number of summaries touched
-/// per uncached root merge — exactly the shard count, which is how the
-/// federation bench asserts the root path is O(shards), not O(sources).
+/// `root_merge_inputs / root_merges` is the number of summaries read
+/// per uncached root merge — exactly one, which is how the federation
+/// bench asserts the root path never walks the sources.
 /// `source_touches` counts per-source summary merges (anti-drift
 /// rebuilds and [`Store::root_summary_full`] calls), the cost the
 /// incremental path avoids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
-    pub shards: usize,
     pub replaces: u64,
     pub deltas_applied: u64,
     pub summary_rebuilds: u64,
@@ -254,19 +234,20 @@ pub struct StoreStats {
 type SummaryCache = RwLock<Option<(u64, Arc<SummaryBody>)>>;
 type ListCache = RwLock<Option<(u64, SourceListing)>>;
 
-/// The level-one hash table: data sources by name, sharded by FNV-1a of
-/// the name so concurrent poll workers write disjoint locks.
+/// The level-one hash table: data sources by name, with their merged
+/// summary, behind one lock.
 #[derive(Debug)]
 pub struct Store {
-    shards: Box<[Shard]>,
-    /// How many deltas a shard absorbs before re-merging from scratch
-    /// (anti-drift; 0 = never rebuild).
+    sources: RwLock<Sources>,
+    /// How many deltas the summary absorbs before re-merging from
+    /// scratch (anti-drift; 0 = never rebuild).
     rebuild_rounds: u64,
-    /// Bumped on every mutation; keys both caches below.
+    /// Bumped on every mutation, inside the write lock; keys both
+    /// caches below.
     revision: AtomicU64,
-    /// Cached merge of the shard summaries, keyed by revision. A
-    /// `RwLock` (not `Mutex`): cache hits are the hot read path and must
-    /// share the lock instead of serializing on it.
+    /// Cached copy of the merged summary, keyed by revision. A `RwLock`
+    /// (not `Mutex`): cache hits are the hot read path and must share
+    /// the lock instead of serializing on it.
     root_cache: SummaryCache,
     /// Cached sorted listing, keyed by the same revision.
     list_cache: ListCache,
@@ -280,24 +261,21 @@ impl Default for Store {
 }
 
 impl Store {
-    /// An empty store with default sharding ([`DEFAULT_STORE_SHARDS`],
-    /// [`DEFAULT_REBUILD_ROUNDS`]).
+    /// An empty store with the default anti-drift cadence
+    /// ([`DEFAULT_REBUILD_ROUNDS`]).
     pub fn new() -> Store {
-        Store::with_shards(DEFAULT_STORE_SHARDS, DEFAULT_REBUILD_ROUNDS)
+        Store::with_rebuild_rounds(DEFAULT_REBUILD_ROUNDS)
     }
 
-    /// An empty store with an explicit shard count (clamped to
-    /// `1..=`[`MAX_STORE_SHARDS`]) and anti-drift rebuild cadence.
-    ///
-    /// `rebuild_rounds = 1` degenerates to the unsharded seed behavior
-    /// per shard — every mutation re-merges the shard from scratch —
-    /// which is what the federation bench uses as its reference path;
-    /// `0` disables rebuilds entirely (pure incremental maintenance).
-    pub fn with_shards(shards: usize, rebuild_rounds: u64) -> Store {
-        let count = shards.clamp(1, MAX_STORE_SHARDS);
+    /// An empty store that re-merges its summary from scratch after
+    /// every `rounds` applied deltas. `1` re-merges on every mutation
+    /// (the seed's full re-merge arithmetic, which the federation bench
+    /// uses as its reference path); `0` never rebuilds (pure incremental
+    /// maintenance).
+    pub fn with_rebuild_rounds(rounds: u64) -> Store {
         Store {
-            shards: (0..count).map(|_| Shard::default()).collect(),
-            rebuild_rounds,
+            sources: RwLock::new(Sources::default()),
+            rebuild_rounds: rounds,
             revision: AtomicU64::new(0),
             root_cache: RwLock::new(None),
             list_cache: RwLock::new(None),
@@ -305,33 +283,9 @@ impl Store {
         }
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a source name lands in.
-    pub fn shard_index(&self, name: &str) -> usize {
-        (fnv1a(name) % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, name: &str) -> &Shard {
-        &self.shards[self.shard_index(name)]
-    }
-
-    /// Per-shard revision stamps: the global revision at each shard's
-    /// last mutation. Writers to different sources move disjoint stamps.
-    pub fn shard_revisions(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|shard| shard.state.read().revision)
-            .collect()
-    }
-
     /// Snapshot of the operation counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            shards: self.shards.len(),
             replaces: self.stats.replaces.load(Ordering::Relaxed),
             deltas_applied: self.stats.deltas_applied.load(Ordering::Relaxed),
             summary_rebuilds: self.stats.summary_rebuilds.load(Ordering::Relaxed),
@@ -342,56 +296,53 @@ impl Store {
         }
     }
 
-    /// Bump the global revision and stamp the shard, both *inside* the
-    /// shard's write lock: bumping after the guard dropped opened a
-    /// window where [`Store::root_summary`] could merge the new state
-    /// under the old revision — or, worse, stamp an old merge with the
-    /// new revision and pin it in the cache.
-    fn bump(&self, shard: &mut ShardState) {
-        let revision = self.revision.fetch_add(1, Ordering::Release) + 1;
-        shard.revision = revision;
+    /// Bump the revision. Callers hold the write lock: bumping after the
+    /// guard dropped opened a window where [`Store::root_summary`] could
+    /// copy the new state under the old revision — or, worse, stamp an
+    /// old copy with the new revision and pin it in the cache.
+    fn bump(&self) {
+        self.revision.fetch_add(1, Ordering::Release);
     }
 
-    /// Fold one source's contribution change into the shard summary:
+    /// Fold one source's contribution change into the merged summary:
     /// apply the delta, or — once per `rebuild_rounds` mutations —
-    /// re-merge the shard from scratch to re-ground float drift.
-    fn absorb(&self, shard: &mut ShardState, delta: SummaryDelta) {
+    /// re-merge from scratch to re-ground float drift.
+    fn absorb(&self, sources: &mut Sources, delta: SummaryDelta) {
         if delta.is_empty() {
             return;
         }
-        if self.rebuild_rounds > 0 && shard.deltas_since_rebuild + 1 >= self.rebuild_rounds {
-            self.rebuild_shard(shard);
+        if self.rebuild_rounds > 0 && sources.deltas_since_rebuild + 1 >= self.rebuild_rounds {
+            self.rebuild(sources);
             return;
         }
-        delta.apply(&mut shard.summary);
-        shard.deltas_since_rebuild += 1;
+        delta.apply(&mut sources.summary);
+        sources.deltas_since_rebuild += 1;
         self.stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
         #[cfg(debug_assertions)]
-        debug_check_shard_drift(shard);
+        debug_check_drift(sources);
     }
 
-    /// Re-merge a shard's summary from its sources (the anti-drift
-    /// rebuild — the only O(shard-size) step on the write path).
-    fn rebuild_shard(&self, shard: &mut ShardState) {
+    /// Re-merge the summary from every source (the anti-drift rebuild —
+    /// the only O(sources) step on the write path).
+    fn rebuild(&self, sources: &mut Sources) {
         let mut merged = SummaryBody::default();
-        for source in shard.sources.values() {
+        for source in sources.by_name.values() {
             merged.merge(&source.summary);
         }
-        shard.summary = merged;
-        shard.deltas_since_rebuild = 0;
+        sources.summary = merged;
+        sources.deltas_since_rebuild = 0;
         self.stats
             .source_touches
-            .fetch_add(shard.sources.len() as u64, Ordering::Relaxed);
+            .fetch_add(sources.by_name.len() as u64, Ordering::Relaxed);
         self.stats.summary_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Install a fresh snapshot for a source (pointer swap on one shard).
+    /// Install a fresh snapshot for a source (a pointer swap).
     pub fn replace(&self, state: SourceState) {
-        let shard = self.shard(&state.name);
         let incoming = Arc::new(state);
-        let mut guard = shard.state.write();
+        let mut guard = self.sources.write();
         let previous = guard
-            .sources
+            .by_name
             .insert(incoming.name.clone(), Arc::clone(&incoming));
         let delta = match &previous {
             // The delta-aware ingest reinstalls the same summary `Arc`
@@ -402,15 +353,15 @@ impl Store {
         };
         self.absorb(&mut guard, delta);
         self.stats.replaces.fetch_add(1, Ordering::Relaxed);
-        self.bump(&mut guard);
+        self.bump();
     }
 
     /// Mark a source stale as of `now` (its last good snapshot stays
     /// queryable). No-op for unknown sources; keeps an existing stale
     /// timestamp and never un-downs a down source.
     pub fn mark_stale(&self, name: &str, now: u64) {
-        let mut guard = self.shard(name).state.write();
-        let Some(existing) = guard.sources.get_mut(name) else {
+        let mut guard = self.sources.write();
+        let Some(existing) = guard.by_name.get_mut(name) else {
             return;
         };
         if !matches!(existing.status, SourceStatus::Fresh) {
@@ -419,7 +370,7 @@ impl Store {
         // In-place when no query holds the snapshot; copy-on-write (of
         // the `SourceState` struct, not the `Arc`'d subtrees) otherwise.
         Arc::make_mut(existing).status = SourceStatus::Stale { since: now };
-        self.bump(&mut guard);
+        self.bump();
     }
 
     /// Advance a failing source along the staleness lifecycle, based on
@@ -435,22 +386,22 @@ impl Store {
     /// * `TN > expire_after` — prune the snapshot entirely: a source
     ///   dead this long no longer contributes to any view.
     pub fn degrade(&self, name: &str, now: u64, lifecycle: &LifecyclePolicy) -> Degradation {
-        let mut guard = self.shard(name).state.write();
-        let Some(existing) = guard.sources.get(name) else {
+        let mut guard = self.sources.write();
+        let Some(existing) = guard.by_name.get(name) else {
             return Degradation::Unknown;
         };
         let tn = now.saturating_sub(existing.updated_at);
         if tn > lifecycle.expire_after_secs {
-            let removed = guard.sources.remove(name).expect("present: checked above");
+            let removed = guard.by_name.remove(name).expect("present: checked above");
             self.absorb(&mut guard, SummaryDelta::retraction(&removed.summary));
-            self.bump(&mut guard);
+            self.bump();
             return Degradation::Expired;
         }
         if tn > lifecycle.down_after_secs {
             if matches!(existing.status, SourceStatus::Down { .. }) {
                 return Degradation::Down;
             }
-            let entry = guard.sources.get_mut(name).expect("present: checked above");
+            let entry = guard.by_name.get_mut(name).expect("present: checked above");
             let old_summary = Arc::clone(&entry.summary);
             let snapshot = Arc::make_mut(entry);
             snapshot.status = SourceStatus::Down { since: now };
@@ -461,20 +412,20 @@ impl Store {
             });
             let delta = SummaryDelta::diff(&old_summary, &snapshot.summary);
             self.absorb(&mut guard, delta);
-            self.bump(&mut guard);
+            self.bump();
             return Degradation::Down;
         }
         if matches!(existing.status, SourceStatus::Fresh) {
-            let entry = guard.sources.get_mut(name).expect("present: checked above");
+            let entry = guard.by_name.get_mut(name).expect("present: checked above");
             Arc::make_mut(entry).status = SourceStatus::Stale { since: now };
-            self.bump(&mut guard);
+            self.bump();
         }
         Degradation::Stale
     }
 
     /// Snapshot of one source.
     pub fn get(&self, name: &str) -> Option<Arc<SourceState>> {
-        self.shard(name).state.read().sources.get(name).cloned()
+        self.sources.read().by_name.get(name).cloned()
     }
 
     /// All sources, sorted by name (deterministic output order). Cached
@@ -491,17 +442,12 @@ impl Store {
                 }
             }
         }
-        // Hold every shard read lock at once so the collected snapshot
-        // and the revision stamped on it are mutually consistent (any
-        // writer bumps the revision inside a shard write lock, which
-        // cannot be mid-flight while we hold all the read locks).
-        let guards: Vec<_> = self.shards.iter().map(|s| s.state.read()).collect();
+        // Read the revision under the lock, so the collected snapshot
+        // and the revision stamped on it are mutually consistent.
+        let guard = self.sources.read();
         let revision = self.revision.load(Ordering::Acquire);
-        let mut out: Vec<Arc<SourceState>> = guards
-            .iter()
-            .flat_map(|g| g.sources.values().cloned())
-            .collect();
-        drop(guards);
+        let mut out: Vec<Arc<SourceState>> = guard.by_name.values().cloned().collect();
+        drop(guard);
         out.sort_by(|a, b| a.name.cmp(&b.name));
         let listing: SourceListing = Arc::new(out);
         self.stats.list_rebuilds.fetch_add(1, Ordering::Relaxed);
@@ -516,42 +462,36 @@ impl Store {
 
     /// Number of sources present.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.read().sources.len())
-            .sum()
+        self.sources.read().by_name.len()
     }
 
     /// Whether the store has no sources yet.
     pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.state.read().sources.is_empty())
+        self.sources.read().by_name.is_empty()
     }
 
     /// Remove a source entirely (dynamic-membership pruning).
     pub fn remove(&self, name: &str) -> bool {
-        let mut guard = self.shard(name).state.write();
-        let Some(removed) = guard.sources.remove(name) else {
+        let mut guard = self.sources.write();
+        let Some(removed) = guard.by_name.remove(name) else {
             return false;
         };
         self.absorb(&mut guard, SummaryDelta::retraction(&removed.summary));
-        self.bump(&mut guard);
+        self.bump();
         true
     }
 
     /// The merged summary of every source — the whole grid in one
-    /// reduction. O(shards), not O(sources): each shard already holds
-    /// the incrementally-maintained merge of its own sources, so an
-    /// uncached call merges ≤N shard summaries. Cached per store
-    /// revision so repeated meta-view queries cost O(1) after the first.
+    /// reduction. O(metrics), not O(sources): the store already holds
+    /// the incrementally-maintained merge, so an uncached call copies
+    /// that one summary. Cached per store revision so repeated meta-view
+    /// queries cost O(1) after the first.
     ///
-    /// The revision is read *while holding every shard's read lock*, so
-    /// the (revision, merge) pair is always consistent: every writer
-    /// bumps the revision while still holding its shard's write lock,
-    /// so no mutation can slip between the two reads and pin a stale
-    /// merge under a new revision. The cache is only ever advanced,
-    /// never regressed.
+    /// The revision is read *while holding the read lock*, so the
+    /// (revision, summary) pair is always consistent: every writer bumps
+    /// the revision while still holding the write lock, so no mutation
+    /// can slip between the two reads and pin a stale copy under a new
+    /// revision. The cache is only ever advanced, never regressed.
     pub fn root_summary(&self) -> Arc<SummaryBody> {
         {
             let cache = self.root_cache.read();
@@ -561,18 +501,12 @@ impl Store {
                 }
             }
         }
-        let guards: Vec<_> = self.shards.iter().map(|s| s.state.read()).collect();
+        let guard = self.sources.read();
         let revision = self.revision.load(Ordering::Acquire);
-        let mut merged = SummaryBody::default();
-        for guard in &guards {
-            merged.merge(&guard.summary);
-        }
-        drop(guards);
+        let merged = Arc::new(guard.summary.clone());
+        drop(guard);
         self.stats.root_merges.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .root_merge_inputs
-            .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
-        let merged = Arc::new(merged);
+        self.stats.root_merge_inputs.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.root_cache.write();
         match cache.as_ref() {
             // A concurrent caller already cached a newer merge: keep it.
@@ -582,16 +516,15 @@ impl Store {
         merged
     }
 
-    /// The root summary re-merged from every *source* (not the shard
-    /// summaries), with the revision it corresponds to — the
+    /// The root summary re-merged from every *source* (not the
+    /// incremental summary), with the revision it corresponds to — the
     /// O(sources × metrics) reference path the incremental maintenance
     /// replaced. Kept for verification: tests and the federation bench
     /// assert [`Store::root_summary`] never drifts from this.
     pub fn root_summary_full(&self) -> (u64, SummaryBody) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.state.read()).collect();
+        let guard = self.sources.read();
         let revision = self.revision.load(Ordering::Acquire);
-        let mut entries: Vec<&Arc<SourceState>> =
-            guards.iter().flat_map(|g| g.sources.values()).collect();
+        let mut entries: Vec<&Arc<SourceState>> = guard.by_name.values().collect();
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         let mut merged = SummaryBody::default();
         for source in &entries {
@@ -609,32 +542,21 @@ impl Store {
     }
 }
 
-/// FNV-1a over the source name: cheap, stable across runs (no
-/// per-process hasher seed), and well-mixed for short strings.
-fn fnv1a(name: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for byte in name.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Debug-build guard: after each delta application, require the shard
-/// summary to still match a from-scratch re-merge (exact integer
-/// counts; sums within float-drift tolerance). Skipped for big shards
-/// (the check is O(shard-size)) and for non-finite sums (NaN/inf are
-/// not comparable and are re-grounded by the periodic rebuild anyway).
+/// Debug-build guard: after each delta application, require the merged
+/// summary to still match a from-scratch re-merge (exact integer counts;
+/// sums within float-drift tolerance). Skipped for big stores (the check
+/// is O(sources)) and for non-finite sums (NaN/inf are not comparable
+/// and are re-grounded by the periodic rebuild anyway).
 #[cfg(debug_assertions)]
-fn debug_check_shard_drift(shard: &ShardState) {
-    if shard.sources.len() > 64 {
+fn debug_check_drift(sources: &Sources) {
+    if sources.by_name.len() > 64 {
         return;
     }
     let mut expected = SummaryBody::default();
-    for source in shard.sources.values() {
+    for source in sources.by_name.values() {
         expected.merge(&source.summary);
     }
-    let incremental = &shard.summary;
+    let incremental = &sources.summary;
     debug_assert_eq!(incremental.hosts_up, expected.hosts_up);
     debug_assert_eq!(incremental.hosts_down, expected.hosts_down);
     debug_assert_eq!(incremental.metrics.len(), expected.metrics.len());
@@ -865,33 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn replaces_to_distinct_sources_move_disjoint_shard_stamps() {
-        let store = Store::with_shards(8, DEFAULT_REBUILD_ROUNDS);
-        // Find two names that land in different shards.
-        let names: Vec<String> = (0..64).map(|i| format!("grid{i:02}")).collect();
-        let a = &names[0];
-        let b = names
-            .iter()
-            .find(|n| store.shard_index(n) != store.shard_index(a))
-            .expect("64 names cover more than one of 8 shards");
-        let before = store.shard_revisions();
-        store.replace(cluster_state(a, 1, 1.0, 0));
-        let after_a = store.shard_revisions();
-        store.replace(cluster_state(b, 1, 1.0, 0));
-        let after_b = store.shard_revisions();
-        let touched = |x: &[u64], y: &[u64]| -> Vec<usize> {
-            x.iter()
-                .zip(y)
-                .enumerate()
-                .filter(|(_, (m, n))| m != n)
-                .map(|(i, _)| i)
-                .collect()
-        };
-        assert_eq!(touched(&before, &after_a), vec![store.shard_index(a)]);
-        assert_eq!(touched(&after_a, &after_b), vec![store.shard_index(b)]);
-    }
-
-    #[test]
     fn incremental_summary_matches_full_remerge_through_lifecycle() {
         // Small rebuild cadence so the scripted walk crosses several
         // anti-drift rebuilds; dyadic loads keep float math exact.
@@ -899,7 +794,7 @@ mod tests {
             down_after_secs: 60,
             expire_after_secs: 600,
         };
-        let store = Store::with_shards(3, 4);
+        let store = Store::with_rebuild_rounds(4);
         let check = |step: &str| {
             let (_, full) = store.root_summary_full();
             let incremental = store.root_summary();
@@ -941,13 +836,13 @@ mod tests {
         // replace/root_summary from several threads and require the
         // final answer to reflect the final replace.
         //
-        // Extended for the sharded store: writers spread over many
-        // sources (hence shards and locks), each source keeps a constant
-        // host count so every consistent snapshot has the same total,
-        // and readers cross-check the incremental merge against the
-        // from-scratch path whenever the revision is stable around it.
+        // Writers spread over many sources, each source keeps a
+        // constant host count so every consistent snapshot has the same
+        // total, and readers cross-check the incremental merge against
+        // the from-scratch path whenever the revision is stable around
+        // it.
         use std::sync::atomic::AtomicBool;
-        let store = Store::with_shards(8, 4);
+        let store = Store::with_rebuild_rounds(4);
         const SOURCES: usize = 16;
         const HOSTS_PER_SOURCE: usize = 3;
         for i in 0..SOURCES {
@@ -1024,8 +919,8 @@ mod tests {
     }
 
     #[test]
-    fn root_merges_touch_shards_not_sources() {
-        let store = Store::with_shards(4, 0); // pure incremental
+    fn root_merges_read_one_summary_not_sources() {
+        let store = Store::with_rebuild_rounds(0); // pure incremental
         for i in 0..32 {
             store.replace(cluster_state(&format!("g{i}"), 2, 0.5, 0));
         }
@@ -1035,8 +930,8 @@ mod tests {
         assert_eq!(after.root_merges - before.root_merges, 1);
         assert_eq!(
             after.root_merge_inputs - before.root_merge_inputs,
-            4,
-            "uncached root merge must touch one summary per shard"
+            1,
+            "uncached root merge must read exactly the merged summary"
         );
         assert_eq!(
             after.source_touches, before.source_touches,
@@ -1103,7 +998,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
             /// Any interleaving of replace/degrade/stale/remove across
-            /// shards keeps the incremental root summary bit-identical
+            /// sources keeps the incremental root summary bit-identical
             /// (dyadic loads) to a from-scratch merge of the sources.
             #[test]
             fn incremental_root_summary_never_drifts(ops in proptest::collection::vec(arb_op(), 1..48)) {
@@ -1111,9 +1006,9 @@ mod tests {
                     down_after_secs: 60,
                     expire_after_secs: 600,
                 };
-                // Odd shard count + tiny rebuild cadence: exercise both
-                // the delta and the rebuild path.
-                let store = Store::with_shards(5, 3);
+                // Tiny rebuild cadence: exercise both the delta and the
+                // rebuild path.
+                let store = Store::with_rebuild_rounds(3);
                 let mut clock = 100u64;
                 for op in &ops {
                     clock += 1;

@@ -183,6 +183,14 @@ host_dmax 1800
     }
 
     #[test]
+    fn example_conf_parses() {
+        let conf = parse_gmond_conf(include_str!("../../../examples/gmond.conf")).unwrap();
+        assert_eq!(conf.cluster_name, "meteor");
+        assert_eq!(conf.udp_peers, vec!["127.0.0.1:8650"]);
+        assert_eq!(conf.tcp_port, 8649);
+    }
+
+    #[test]
     fn name_is_required_everything_else_defaults() {
         let conf = parse_gmond_conf("name \"x\"\n").unwrap();
         assert_eq!(conf.udp_recv_port, 8650);

@@ -5,15 +5,15 @@
 //! metric plus `UP`/`DOWN` host counts — all group operations, so a
 //! source's contribution can be *retracted* from a merged summary and a
 //! new contribution *added* without re-merging every other source. A
-//! [`SummaryDelta`] packages one such retract+add pair: what a gmetad
-//! store shard applies when one source's snapshot is replaced, instead
-//! of re-merging all sources from scratch.
+//! [`SummaryDelta`] packages one such retract+add pair: what the gmetad
+//! store applies to its merged summary when one source's snapshot is
+//! replaced, instead of re-merging all sources from scratch.
 //!
 //! Floating-point caveat: `sum − old + new` is exact only when the
 //! additions are (e.g. for integer-valued or dyadic-rational metrics);
 //! for arbitrary doubles it can drift by rounding error relative to a
 //! from-scratch merge. Consumers bound that drift with a periodic full
-//! rebuild (`summary_rebuild_rounds` in the store).
+//! rebuild (every `DEFAULT_REBUILD_ROUNDS` deltas in the store).
 
 use crate::atom::Atom;
 use crate::model::{MetricSummary, SummaryBody};

@@ -4,7 +4,7 @@
 //! databases, whose stream-based design supports a wide range of time
 //! scale queries employing lossy compression with a bias towards recent
 //! data. ... The databases are highly optimized for this type of data and
-//! do not grow in size over time." (paper §3.1, citing RRDtool [11]).
+//! do not grow in size over time." (paper §3.1, citing RRDtool \[11\]).
 //!
 //! This crate reimplements that data model from scratch:
 //!
@@ -18,7 +18,7 @@
 //!   with full detail only for the recent past;
 //! * [`Rrd::fetch`] answers time-range queries by picking the
 //!   finest-resolution archive that covers the requested window;
-//! * [`file`] gives the database a compact binary on-disk form, and
+//! * [`file`](mod@file) gives the database a compact binary on-disk form, and
 //!   [`cache::RrdSet`] is the multi-database archiver gmetad drives (one
 //!   database per `(source, host, metric)`).
 

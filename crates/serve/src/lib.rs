@@ -11,7 +11,8 @@
 //! path needs its own subsystem.
 //!
 //! This crate is that subsystem, sandwiched between any
-//! [`RequestHandler`] and the network:
+//! [`RequestHandler`](ganglia_net::transport::RequestHandler) and the
+//! network:
 //!
 //! * [`FrontTier`] — admission control plus a **revision-keyed response
 //!   cache**. Responses are cached per `(store revision, request)`; a
@@ -39,9 +40,9 @@
 //!   re-diffing the full document.
 //!
 //! The tier also serves over the simulated transport: [`FrontTier`]
-//! implements [`RequestHandler`], so `SimNet::serve` accepts it
-//! directly and the cache and admission logic apply identically in
-//! deterministic experiments.
+//! implements [`RequestHandler`](ganglia_net::transport::RequestHandler),
+//! so `SimNet::serve` accepts it directly and the cache and admission
+//! logic apply identically in deterministic experiments.
 //!
 //! Everything is instrumented through a shared `ganglia-telemetry`
 //! [`Registry`](ganglia_telemetry::Registry) under the `serve.*`

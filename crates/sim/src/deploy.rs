@@ -267,7 +267,7 @@ impl Deployment {
     }
 
     /// Telemetry snapshot of every monitor, rows in breadth-first tree
-    /// order (matching [`cpu_report`]).
+    /// order (matching [`Self::cpu_report`]).
     pub fn telemetry_report(&self) -> Vec<(String, ganglia_core::telemetry::Snapshot)> {
         self.tree
             .breadth_first()
@@ -358,10 +358,70 @@ fn stable_hash(s: &str) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::topology::fig2_tree;
     use ganglia_core::SourceStatus;
+
+    /// Work one monitor did over a measurement window, counted rather
+    /// than timed: both numbers depend only on the topology and the
+    /// seed, never on how loaded the machine running the test is.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(crate) struct Work {
+        /// RRD updates archived ([`Gmetad::archive_updates`]).
+        pub archive_updates: u64,
+        /// Report bytes fetched from sources (`bytes_in_total`).
+        pub bytes_in: u64,
+    }
+
+    impl std::iter::Sum for Work {
+        fn sum<I: Iterator<Item = Work>>(iter: I) -> Work {
+            iter.fold(Work::default(), |a, b| Work {
+                archive_updates: a.archive_updates + b.archive_updates,
+                bytes_in: a.bytes_in + b.bytes_in,
+            })
+        }
+    }
+
+    /// Run a deployment through `warmup` unmeasured rounds and then
+    /// `measured` rounds, and count each monitor's work over the
+    /// measured window (monitor name → work).
+    pub(crate) fn counted_work(
+        tree: TreeSpec,
+        mode: TreeMode,
+        seed: u64,
+        warmup: u64,
+        measured: u64,
+    ) -> HashMap<String, Work> {
+        let params = DeploymentParams {
+            mode,
+            seed,
+            ..DeploymentParams::default()
+        };
+        let mut deployment = Deployment::build(tree, params);
+        deployment.run_rounds(warmup);
+        deployment.reset_meters();
+        let before: HashMap<String, u64> = deployment
+            .monitors
+            .iter()
+            .map(|(name, monitor)| (name.clone(), monitor.archive_updates()))
+            .collect();
+        deployment.run_rounds(measured);
+        deployment
+            .monitors
+            .iter()
+            .map(|(name, monitor)| {
+                let work = Work {
+                    archive_updates: monitor.archive_updates() - before[name],
+                    bytes_in: monitor
+                        .telemetry_snapshot()
+                        .counter("bytes_in_total")
+                        .unwrap_or(0),
+                };
+                (name.clone(), work)
+            })
+            .collect()
+    }
 
     fn small_deployment(mode: TreeMode) -> Deployment {
         Deployment::build(fig2_tree(5), DeploymentParams::default().with_mode(mode))

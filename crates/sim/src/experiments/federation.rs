@@ -1,5 +1,5 @@
-//! Federation-scale experiment: sharded store vs the seed's single-lock
-//! store at ~100k synthetic hosts.
+//! Federation-scale experiment: the incremental single-lock store vs
+//! the seed's full-re-merge store at ~100k synthetic hosts.
 //!
 //! The paper's wide-area design federates "over 500 clusters" through a
 //! tree of gmetads (§5). At that scale the interesting costs live in the
@@ -8,21 +8,22 @@
 //! builds hundreds of synthetic grid sources (~100k hosts in summary
 //! form), then measures four things:
 //!
-//! 1. **Replace+refresh throughput vs shard count.** Sixteen writers
-//!    hammer `replace` followed by an (almost always uncached)
+//! 1. **Write throughput.** Sixteen writers hammer `replace`, once with
+//!    every replace chased by an (almost always uncached)
 //!    `root_summary` — the serve-tier pattern where every ingest is
-//!    chased by a federation query. The baseline is a faithful replica
-//!    of the seed store (one `RwLock<HashMap>`, full O(sources·metrics)
-//!    re-merge per root refresh); the sharded store pays O(shards)
-//!    summaries per refresh instead.
-//! 2. **Root-query latency vs source count** at a fixed shard count —
-//!    sublinear because the incremental root path never touches
-//!    per-source summaries.
+//!    chased by a federation query — and once replace-only, the write
+//!    path parallel poll workers take. The baseline is a faithful
+//!    replica of the seed store (one `RwLock<HashMap>`, full
+//!    O(sources·metrics) re-merge per root refresh); the store copies
+//!    one incrementally-maintained summary per refresh instead, and
+//!    pays a summary delta per replace.
+//! 2. **Root-query latency vs source count** — flat because the
+//!    incremental root path never touches per-source summaries.
 //! 3. **Per-level CPU of the N-level tree** (leaf grids → mid gmetads →
 //!    root), the paper's hierarchical-aggregation cost breakdown.
-//! 4. **Byte identity**: the sharded incremental store and an unsharded
-//!    rebuild-every-round store (the seed's arithmetic) render identical
-//!    `/?filter=summary` XML across churn levels.
+//! 4. **Byte identity**: the purely incremental store and a
+//!    rebuild-every-mutation store (the seed's arithmetic) render
+//!    identical `/?filter=summary` XML across churn levels.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ganglia_core::query_engine;
-use ganglia_core::store::{SourceState, Store};
+use ganglia_core::store::{SourceState, Store, StoreStats};
 use ganglia_core::GmetadConfig;
 use ganglia_metrics::model::{GridBody, GridNode, MetricSummary, SummaryBody};
 use ganglia_metrics::{MetricType, Slope};
@@ -52,10 +53,6 @@ pub struct FederationParams {
     pub writers: usize,
     /// Rounds each writer replaces its slice of sources.
     pub rounds: usize,
-    /// Shard counts swept in the throughput stage.
-    pub shard_counts: Vec<usize>,
-    /// Shard count held fixed for the latency and identity stages.
-    pub fixed_shards: usize,
     /// Source-count multipliers for the latency sweep.
     pub latency_scales: Vec<usize>,
     /// Mid-level gmetad count for the per-level tree stage.
@@ -72,8 +69,6 @@ impl Default for FederationParams {
             metrics_per_host: 24,
             writers: 16,
             rounds: 6,
-            shard_counts: vec![1, 4, 16, 64],
-            fixed_shards: 16,
             latency_scales: vec![1, 2, 4],
             mid_gmetads: 8,
             churn_percents: vec![1, 10, 100],
@@ -90,8 +85,6 @@ impl FederationParams {
             metrics_per_host: 4,
             writers: 4,
             rounds: 2,
-            shard_counts: vec![1, 4],
-            fixed_shards: 4,
             latency_scales: vec![1, 2],
             mid_gmetads: 2,
             churn_percents: vec![50, 100],
@@ -104,22 +97,20 @@ impl FederationParams {
     }
 }
 
-/// One throughput measurement: `writers` threads driving
-/// replace+root-refresh pairs against one store configuration.
+/// One throughput measurement: `writers` threads driving replaces
+/// (each optionally chased by a root refresh) against one store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRow {
-    /// Shard count, or 0 for the seed-store replica baseline.
-    pub shards: usize,
     pub writers: usize,
-    /// Replace+refresh pairs completed.
+    /// Replaces (or replace+refresh pairs) completed.
     pub ops: u64,
     pub elapsed_ms: f64,
     pub ops_per_sec: f64,
-    /// Summaries touched per uncached root merge (sharded store only:
-    /// exactly the shard count — the O(shards) root-path witness).
+    /// Summaries read per uncached root merge (the store only: exactly
+    /// one — the witness that the root path never walks the sources).
     pub root_merge_inputs_per_merge: f64,
-    /// Per-source summary merges during the run (sharded store only:
-    /// stays at zero when the incremental path never falls back).
+    /// Per-source summary merges during the run (the store only: stays
+    /// at zero when the incremental path never falls back).
     pub source_touches: u64,
 }
 
@@ -160,8 +151,8 @@ pub struct LevelRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdentityRow {
     pub churn_percent: u32,
-    /// Rendered `/?filter=summary` bytes match the unsharded
-    /// rebuild-every-round store on every round.
+    /// Rendered `/?filter=summary` bytes match the
+    /// rebuild-every-mutation store on every round.
     pub identical: bool,
     /// Bytes of the final rendered document.
     pub response_bytes: usize,
@@ -171,22 +162,18 @@ pub struct IdentityRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FederationResult {
     pub params: FederationParams,
-    /// Seed-store replica under the same writer load (shards = 0).
+    /// Replace+refresh on the seed-store replica.
     pub baseline: ThroughputRow,
-    pub throughput: Vec<ThroughputRow>,
+    /// Replace+refresh on the store.
+    pub throughput: ThroughputRow,
+    /// Replace-only on the seed-store replica.
+    pub replace_only_baseline: ThroughputRow,
+    /// Replace-only on the store: the write cost of the incremental
+    /// summary.
+    pub replace_only: ThroughputRow,
     pub latency: Vec<LatencyRow>,
     pub levels: Vec<LevelRow>,
     pub identity: Vec<IdentityRow>,
-}
-
-impl FederationResult {
-    /// Throughput speedup of the given shard count over the seed replica.
-    pub fn speedup_at(&self, shards: usize) -> Option<f64> {
-        self.throughput
-            .iter()
-            .find(|r| r.shards == shards)
-            .map(|r| r.speedup_over(&self.baseline))
-    }
 }
 
 /// xorshift over a seed — deterministic, dependency-free value churn.
@@ -248,6 +235,10 @@ fn source_name(i: usize) -> String {
 trait RootStore: Sync {
     fn replace_source(&self, state: SourceState);
     fn refresh_root(&self) -> u32;
+    /// Operation counters (zero for a store that keeps none).
+    fn stats(&self) -> StoreStats {
+        StoreStats::default()
+    }
 }
 
 impl RootStore for Store {
@@ -258,13 +249,17 @@ impl RootStore for Store {
     fn refresh_root(&self) -> u32 {
         self.root_summary().hosts_up
     }
+
+    fn stats(&self) -> StoreStats {
+        Store::stats(self)
+    }
 }
 
-/// A faithful replica of the seed store this PR replaced: one lock over
-/// the level-one hash table, a monotonic revision, and a root cache that
-/// re-merges every source summary whenever the revision moved. Kept
-/// here (not in `ganglia_core`) so the production crate carries exactly
-/// one store implementation.
+/// A faithful replica of the seed store that incremental summaries
+/// replaced: one lock over the level-one hash table, a monotonic
+/// revision, and a root cache that re-merges every source summary
+/// whenever the revision moved. Kept here (not in `ganglia_core`) so
+/// the production crate carries exactly one store implementation.
 struct SeedStore {
     sources: RwLock<HashMap<String, Arc<SourceState>>>,
     revision: AtomicU64,
@@ -310,11 +305,16 @@ impl RootStore for SeedStore {
     }
 }
 
-/// Drive `writers` threads through `rounds` replace+refresh rounds over
-/// the store's sources. Source snapshots are prebuilt so the timed
-/// region contains only store work, which is the quantity the shard
-/// sweep varies.
-fn hammer(store: &impl RootStore, params: &FederationParams, seed: u64) -> (u64, f64) {
+/// Drive `writers` threads through `rounds` rounds of replaces over the
+/// store's sources, each chased by a root refresh when `refresh` is
+/// set. Source snapshots are prebuilt so the timed region contains only
+/// store work.
+fn hammer(
+    store: &impl RootStore,
+    params: &FederationParams,
+    seed: u64,
+    refresh: bool,
+) -> (u64, f64) {
     let writers = params.writers.max(1);
     // Writer w owns sources w, w+writers, w+2·writers, …
     let mut slices: Vec<Vec<SourceState>> = (0..writers).map(|_| Vec::new()).collect();
@@ -339,7 +339,9 @@ fn hammer(store: &impl RootStore, params: &FederationParams, seed: u64) -> (u64,
             scope.spawn(move || {
                 for state in slice {
                     store.replace_source(state);
-                    store.refresh_root();
+                    if refresh {
+                        store.refresh_root();
+                    }
                 }
             });
         }
@@ -362,18 +364,21 @@ fn populate(store: &impl RootStore, grids: usize, params: &FederationParams, see
     store.refresh_root();
 }
 
-fn measure_throughput(params: &FederationParams, shards: usize) -> ThroughputRow {
-    let store = Store::with_shards(shards, 0);
-    populate(&store, params.grids, params, 7);
+/// Populate `store`, then time the writer load on it.
+fn measure_throughput(
+    store: &impl RootStore,
+    params: &FederationParams,
+    refresh: bool,
+) -> ThroughputRow {
+    populate(store, params.grids, params, 7);
     let before = store.stats();
-    let (ops, elapsed_ms) = hammer(&store, params, 11);
+    let (ops, elapsed_ms) = hammer(store, params, 11, refresh);
     let after = store.stats();
     let merges = after.root_merges.saturating_sub(before.root_merges);
     let inputs = after
         .root_merge_inputs
         .saturating_sub(before.root_merge_inputs);
     ThroughputRow {
-        shards,
         writers: params.writers,
         ops,
         elapsed_ms,
@@ -387,31 +392,15 @@ fn measure_throughput(params: &FederationParams, shards: usize) -> ThroughputRow
     }
 }
 
-fn measure_baseline(params: &FederationParams) -> ThroughputRow {
-    let store = SeedStore::new();
-    populate(&store, params.grids, params, 7);
-    let (ops, elapsed_ms) = hammer(&store, params, 11);
-    ThroughputRow {
-        shards: 0,
-        writers: params.writers,
-        ops,
-        elapsed_ms,
-        ops_per_sec: ops as f64 / (elapsed_ms / 1000.0).max(1e-9),
-        root_merge_inputs_per_merge: 0.0,
-        source_touches: 0,
-    }
-}
-
-/// Best-of-N uncached root latency at each source-count scale, shard
-/// count held fixed. Each sample dirties one source first so the root
-/// cache cannot answer.
+/// Best-of-N uncached root latency at each source-count scale. Each
+/// sample dirties one source first so the root cache cannot answer.
 fn measure_latency(params: &FederationParams) -> Vec<LatencyRow> {
     params
         .latency_scales
         .iter()
         .map(|&scale| {
             let sources = params.grids * scale;
-            let store = Store::with_shards(params.fixed_shards, 0);
+            let store = Store::with_rebuild_rounds(0);
             populate(&store, sources, params, 13);
             let mut rng = 17;
             let mut best = f64::INFINITY;
@@ -513,10 +502,10 @@ fn render_summary(store: &Store, config: &GmetadConfig, query: &Query) -> String
     query_engine::answer(store, config, query, 12345)
 }
 
-/// Churn sweep: after every round the sharded incremental store must
-/// render byte-identical XML to an unsharded store that rebuilds its
-/// summary from scratch on every mutation (`with_shards(1, 1)` — the
-/// seed's arithmetic expressed through the new store).
+/// Churn sweep: after every round the purely incremental store must
+/// render byte-identical XML to a store that rebuilds its summary from
+/// scratch on every mutation (`with_rebuild_rounds(1)` — the seed's
+/// arithmetic expressed through the same store).
 fn measure_identity(params: &FederationParams) -> Vec<IdentityRow> {
     let config = GmetadConfig::new("federation");
     let query = Query::parse("/?filter=summary").expect("static query parses");
@@ -524,8 +513,8 @@ fn measure_identity(params: &FederationParams) -> Vec<IdentityRow> {
         .churn_percents
         .iter()
         .map(|&churn| {
-            let incremental = Store::with_shards(params.fixed_shards, 0);
-            let seed_path = Store::with_shards(1, 1);
+            let incremental = Store::with_rebuild_rounds(0);
+            let seed_path = Store::with_rebuild_rounds(1);
             let mut build_rng = 23;
             for i in 0..params.grids {
                 let name = source_name(i);
@@ -585,12 +574,13 @@ fn measure_identity(params: &FederationParams) -> Vec<IdentityRow> {
 
 /// Run the full federation-scale experiment.
 pub fn run_federation_scale(params: &FederationParams) -> FederationResult {
-    let baseline = measure_baseline(params);
-    let throughput = params
-        .shard_counts
-        .iter()
-        .map(|&shards| measure_throughput(params, shards))
-        .collect();
+    // Pure incremental maintenance, so the source-touch counter isolates
+    // the root path (an anti-drift rebuild would touch every source).
+    let store = || Store::with_rebuild_rounds(0);
+    let baseline = measure_throughput(&SeedStore::new(), params, true);
+    let throughput = measure_throughput(&store(), params, true);
+    let replace_only_baseline = measure_throughput(&SeedStore::new(), params, false);
+    let replace_only = measure_throughput(&store(), params, false);
     let latency = measure_latency(params);
     let levels = measure_levels(params);
     let identity = measure_identity(params);
@@ -598,6 +588,8 @@ pub fn run_federation_scale(params: &FederationParams) -> FederationResult {
         params: params.clone(),
         baseline,
         throughput,
+        replace_only_baseline,
+        replace_only,
         latency,
         levels,
         identity,
@@ -613,21 +605,25 @@ mod tests {
         let params = FederationParams::tiny();
         let result = run_federation_scale(&params);
 
-        assert_eq!(result.baseline.shards, 0);
         assert!(result.baseline.ops > 0);
-        for row in &result.throughput {
+        for row in [
+            &result.throughput,
+            &result.replace_only_baseline,
+            &result.replace_only,
+        ] {
             assert_eq!(row.ops, result.baseline.ops);
             assert!(row.ops_per_sec > 0.0);
-            // O(shards) root path: each uncached merge touched exactly
-            // one summary per shard, and never a per-source summary.
-            assert!(
-                (row.root_merge_inputs_per_merge - row.shards as f64).abs() < f64::EPSILON,
-                "shards={} inputs/merge={}",
-                row.shards,
-                row.root_merge_inputs_per_merge
-            );
-            assert_eq!(row.source_touches, 0, "shards={}", row.shards);
+            assert_eq!(row.source_touches, 0);
         }
+        // The root path reads the one merged summary, never a
+        // per-source summary.
+        assert!(
+            (result.throughput.root_merge_inputs_per_merge - 1.0).abs() < f64::EPSILON,
+            "inputs/merge={}",
+            result.throughput.root_merge_inputs_per_merge
+        );
+        // Replace-only runs never merge a root summary.
+        assert_eq!(result.replace_only.root_merge_inputs_per_merge, 0.0);
 
         assert_eq!(result.latency.len(), params.latency_scales.len());
         for row in &result.latency {
@@ -643,7 +639,7 @@ mod tests {
         for row in &result.identity {
             assert!(
                 row.identical,
-                "sharded render diverged at churn {}%",
+                "incremental render diverged at churn {}%",
                 row.churn_percent
             );
             assert!(row.response_bytes > 0);
@@ -651,13 +647,13 @@ mod tests {
     }
 
     #[test]
-    fn seed_store_replica_matches_sharded_arithmetic() {
+    fn seed_store_replica_matches_incremental_arithmetic() {
         let params = FederationParams::tiny();
         let seed = SeedStore::new();
-        let sharded = Store::with_shards(4, 0);
+        let incremental = Store::with_rebuild_rounds(0);
         populate(&seed, params.grids, &params, 7);
-        populate(&sharded, params.grids, &params, 7);
-        assert_eq!(seed.refresh_root(), sharded.root_summary().hosts_up);
+        populate(&incremental, params.grids, &params, 7);
+        assert_eq!(seed.refresh_root(), incremental.root_summary().hosts_up);
         assert_eq!(
             seed.refresh_root() as usize,
             params.grids * params.hosts_per_grid as usize

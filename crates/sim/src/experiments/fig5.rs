@@ -145,6 +145,7 @@ pub fn run_fig5(params: &Fig5Params) -> Fig5Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::tests::{counted_work, Work};
 
     /// A scaled-down figure 5 that still exhibits the paper's shape.
     /// (The full 100-host version runs in the reproduction binary and
@@ -159,35 +160,41 @@ mod tests {
         });
         assert_eq!(result.rows.len(), 6);
 
+        // Each shape claim is asserted on work that deployments built
+        // like `run_fig5`'s count per monitor (RRD updates, report bytes
+        // fetched), which depends only on the seed; the timed CPU% the
+        // figure plots swings with machine load.
+        let count = |mode| counted_work(fig2_tree(30), mode, 7, 1, 5);
+        let (one, n) = (count(TreeMode::OneLevel), count(TreeMode::NLevel));
+
         // 1-level concentrates load at the root of the tree.
-        let root = result.monitor("root");
-        let leaf = result.monitor("attic");
+        let (root_one, leaf_one) = (one["root"], one["attic"]);
         assert!(
-            root.one_level_pct > leaf.one_level_pct,
-            "1-level root {} must exceed leaf {}",
-            root.one_level_pct,
-            leaf.one_level_pct
+            root_one.archive_updates > leaf_one.archive_updates
+                && root_one.bytes_in > leaf_one.bytes_in,
+            "1-level root {root_one:?} must exceed leaf {leaf_one:?}"
         );
 
-        // N-level drastically reduces root load relative to 1-level. The
-        // margin is generous (1.4x, where unloaded runs show ~3x) because
-        // wall-clock attribution is noisy under parallel test threads.
+        // N-level drastically reduces root load relative to 1-level.
+        let root_n = n["root"];
         assert!(
-            root.n_level_pct < root.one_level_pct / 1.4,
-            "N-level root {} vs 1-level {}",
-            root.n_level_pct,
-            root.one_level_pct
+            (root_n.archive_updates as f64) < root_one.archive_updates as f64 / 1.4
+                && (root_n.bytes_in as f64) < root_one.bytes_in as f64 / 1.4,
+            "N-level root {root_n:?} vs 1-level {root_one:?}"
         );
 
-        // Interior node ucsd benefits the same way.
-        let ucsd = result.monitor("ucsd");
-        assert!(ucsd.n_level_pct < ucsd.one_level_pct);
+        // Interior node ucsd benefits the same way. Its children are
+        // leaves, whose reports are the same under both designs, so its
+        // saving is archive work alone.
+        assert!(n["ucsd"].archive_updates < one["ucsd"].archive_updates);
 
         // Aggregate work is lower under N-level (no duplicate archives).
-        let (one_total, n_total) = result.aggregates();
+        let one_total: Work = one.values().copied().sum();
+        let n_total: Work = n.values().copied().sum();
         assert!(
-            n_total < one_total,
-            "aggregate N-level {n_total} vs 1-level {one_total}"
+            n_total.archive_updates < one_total.archive_updates
+                && n_total.bytes_in < one_total.bytes_in,
+            "aggregate N-level {n_total:?} vs 1-level {one_total:?}"
         );
 
         // The telemetry snapshots ride along: the root fetched and

@@ -200,11 +200,6 @@ mod tests {
         // 21 series per metric (20 hosts + 1 summary).
         assert_eq!(result.rows[0].updates_per_round, 21 * 10);
         assert_eq!(result.rows[2].updates_per_round, 21 * 40);
-        // Cost roughly tracks update count: 4× the metrics should cost
-        // at least 2× the time (generous bound; the point is growth).
-        let t10 = result.rows[0].archive_time.as_secs_f64();
-        let t40 = result.rows[2].archive_time.as_secs_f64();
-        assert!(t40 > t10 * 1.5, "t10={t10} t40={t40}");
         // Quantiles bracket the mean sensibly: p50 <= p99, both nonzero.
         for row in &result.rows {
             assert!(row.archive_time_p50 <= row.archive_time_p99, "{row:?}");
