@@ -1,12 +1,9 @@
-//! The alarm state machine and document walker.
+//! The alarm state machine. Observations reach it from GQL rows
+//! ([`crate::feed`]); it owns no document walk of its own.
 
 use std::collections::HashMap;
 
-use ganglia_metrics::model::{
-    ClusterBody, ClusterNode, GangliaDoc, GridBody, GridItem, SummaryBody,
-};
-
-use crate::rule::{Rule, Signal};
+use crate::rule::Rule;
 use crate::sink::AlarmSink;
 
 /// Alarm lifecycle.
@@ -39,7 +36,7 @@ pub enum AlarmKind {
     Cleared,
 }
 
-/// Evaluates rules against monitoring documents.
+/// The per-`(rule, subject)` alarm states of a rule set.
 pub struct AlarmEngine {
     rules: Vec<Rule>,
     states: HashMap<(String, String), AlarmStatus>,
@@ -74,26 +71,10 @@ impl AlarmEngine {
         out
     }
 
-    /// Evaluate every rule against `doc` at time `now`, delivering
-    /// transitions to `sink` and returning them.
-    pub fn evaluate(
-        &mut self,
-        doc: &GangliaDoc,
-        now: u64,
-        sink: &dyn AlarmSink,
-    ) -> Vec<AlarmEvent> {
-        // Gather observations per rule, then drive the state machine.
-        let mut observations: Vec<(String, String, f64)> = Vec::new();
-        for rule in &self.rules {
-            walk_items(&doc.items, rule, &mut observations);
-        }
-        self.apply_observations(observations, now, sink)
-    }
-
     /// Drive the hysteresis state machine with pre-gathered
-    /// `(rule name, subject, value)` observations — the document walker
-    /// above and the GQL subscription feed ([`crate::feed`]) both end
-    /// here, so the two ingest paths share one lifecycle.
+    /// `(rule name, subject, value)` observations, as the GQL feed
+    /// ([`crate::feed`]) gathers them from a document or a subscription
+    /// mirror.
     pub fn apply_observations(
         &mut self,
         observations: Vec<(String, String, f64)>,
@@ -166,74 +147,15 @@ impl AlarmEngine {
     }
 }
 
-/// Collect `(rule, subject, value)` observations from grid items,
-/// descending nested grids.
-fn walk_items(items: &[GridItem], rule: &Rule, out: &mut Vec<(String, String, f64)>) {
-    for item in items {
-        match item {
-            GridItem::Cluster(cluster) => observe_cluster(cluster, rule, out),
-            GridItem::Grid(grid) => {
-                if rule.host.is_none() && rule.cluster.matches(&grid.name) {
-                    let summary = grid.summary();
-                    if let Some(value) = summary_signal(&summary, &rule.signal) {
-                        out.push((rule.name.clone(), grid.name.clone(), value));
-                    }
-                }
-                if let GridBody::Items(inner) = &grid.body {
-                    walk_items(inner, rule, out);
-                }
-            }
-        }
-    }
-}
-
-fn observe_cluster(cluster: &ClusterNode, rule: &Rule, out: &mut Vec<(String, String, f64)>) {
-    if !rule.cluster.matches(&cluster.name) {
-        return;
-    }
-    match &rule.host {
-        None => {
-            let summary = cluster.summary();
-            if let Some(value) = summary_signal(&summary, &rule.signal) {
-                out.push((rule.name.clone(), cluster.name.clone(), value));
-            }
-        }
-        Some(host_matcher) => {
-            let Signal::Metric(metric) = &rule.signal else {
-                return; // HostsDown is summary-only
-            };
-            let ClusterBody::Hosts(hosts) = &cluster.body else {
-                return; // summary-form cluster has no host detail
-            };
-            for host in hosts {
-                if !host_matcher.matches(&host.name) {
-                    continue;
-                }
-                if let Some(value) = host.metric(metric).and_then(|m| m.value.as_f64()) {
-                    out.push((
-                        rule.name.clone(),
-                        format!("{}/{}", cluster.name, host.name),
-                        value,
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn summary_signal(summary: &SummaryBody, signal: &Signal) -> Option<f64> {
-    match signal {
-        Signal::HostsDown => Some(f64::from(summary.hosts_down)),
-        Signal::Metric(name) => summary.metric(name).and_then(|m| m.mean()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rule::{Comparison, Matcher};
+    use crate::feed::AlarmFeed;
+    use crate::rule::{Comparison, Matcher, Signal};
     use crate::sink::MemorySink;
-    use ganglia_metrics::model::{GridNode, HostNode, MetricEntry};
+    use ganglia_metrics::model::{
+        ClusterNode, GangliaDoc, GridBody, GridItem, GridNode, HostNode, MetricEntry, SummaryBody,
+    };
     use ganglia_metrics::MetricValue;
 
     fn doc_with_load(load: f64, hosts_down: usize) -> GangliaDoc {
@@ -260,25 +182,25 @@ mod tests {
             Signal::Metric("load_one".into()),
             Comparison::Above(2.0),
         )];
-        let mut engine = AlarmEngine::new(rules);
+        let mut feed = AlarmFeed::new(rules);
         let sink = MemorySink::new();
 
-        let events = engine.evaluate(&doc_with_load(3.0, 0), 10, &sink);
+        let events = feed.evaluate_doc(&doc_with_load(3.0, 0), 10, &sink);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, AlarmKind::Raised);
         assert_eq!(events[0].subject, "meteor");
-        assert_eq!(engine.firing().len(), 1);
+        assert_eq!(feed.engine().firing().len(), 1);
 
         // Still violated: no new events.
-        assert!(engine
-            .evaluate(&doc_with_load(3.5, 0), 25, &sink)
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.5, 0), 25, &sink)
             .is_empty());
 
         // Recovered: cleared.
-        let events = engine.evaluate(&doc_with_load(0.5, 0), 40, &sink);
+        let events = feed.evaluate_doc(&doc_with_load(0.5, 0), 40, &sink);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, AlarmKind::Cleared);
-        assert!(engine.firing().is_empty());
+        assert!(feed.engine().firing().is_empty());
         assert_eq!(sink.events().len(), 2);
     }
 
@@ -291,27 +213,29 @@ mod tests {
             Comparison::Above(2.0),
         )
         .hold_for(30)];
-        let mut engine = AlarmEngine::new(rules);
+        let mut feed = AlarmFeed::new(rules);
         let sink = MemorySink::new();
 
-        assert!(engine.evaluate(&doc_with_load(3.0, 0), 0, &sink).is_empty());
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.0, 0), 0, &sink)
+            .is_empty());
         assert_eq!(
-            engine.status("load-high", "meteor"),
+            feed.engine().status("load-high", "meteor"),
             AlarmStatus::Pending { since: 0 }
         );
         // A dip resets the pending state.
-        assert!(engine
-            .evaluate(&doc_with_load(1.0, 0), 15, &sink)
+        assert!(feed
+            .evaluate_doc(&doc_with_load(1.0, 0), 15, &sink)
             .is_empty());
-        assert_eq!(engine.status("load-high", "meteor"), AlarmStatus::Ok);
+        assert_eq!(feed.engine().status("load-high", "meteor"), AlarmStatus::Ok);
         // Violation must persist the full hold time.
-        assert!(engine
-            .evaluate(&doc_with_load(3.0, 0), 30, &sink)
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.0, 0), 30, &sink)
             .is_empty());
-        assert!(engine
-            .evaluate(&doc_with_load(3.0, 0), 45, &sink)
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.0, 0), 45, &sink)
             .is_empty());
-        let events = engine.evaluate(&doc_with_load(3.0, 0), 60, &sink);
+        let events = feed.evaluate_doc(&doc_with_load(3.0, 0), 60, &sink);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, AlarmKind::Raised);
     }
@@ -324,10 +248,12 @@ mod tests {
             Signal::HostsDown,
             Comparison::Above(0.0),
         )];
-        let mut engine = AlarmEngine::new(rules);
+        let mut feed = AlarmFeed::new(rules);
         let sink = MemorySink::new();
-        assert!(engine.evaluate(&doc_with_load(1.0, 0), 0, &sink).is_empty());
-        let events = engine.evaluate(&doc_with_load(1.0, 2), 15, &sink);
+        assert!(feed
+            .evaluate_doc(&doc_with_load(1.0, 0), 0, &sink)
+            .is_empty());
+        let events = feed.evaluate_doc(&doc_with_load(1.0, 2), 15, &sink);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].value, 2.0);
     }
@@ -341,9 +267,9 @@ mod tests {
             "load_one",
             Comparison::Above(2.0),
         )];
-        let mut engine = AlarmEngine::new(rules);
+        let mut feed = AlarmFeed::new(rules);
         let sink = MemorySink::new();
-        let events = engine.evaluate(&doc_with_load(5.0, 0), 0, &sink);
+        let events = feed.evaluate_doc(&doc_with_load(5.0, 0), 0, &sink);
         // Only n0 and n1 match the host pattern.
         assert_eq!(events.len(), 2);
         let subjects: Vec<&str> = events.iter().map(|e| e.subject.as_str()).collect();
@@ -392,9 +318,9 @@ mod tests {
                 Comparison::Above(2.0),
             ),
         ];
-        let mut engine = AlarmEngine::new(rules);
+        let mut feed = AlarmFeed::new(rules);
         let sink = MemorySink::new();
-        let events = engine.evaluate(&doc, 0, &sink);
+        let events = feed.evaluate_doc(&doc, 0, &sink);
         assert_eq!(events.len(), 2, "{events:?}");
     }
 }

@@ -1,21 +1,20 @@
-//! Drive the alarm engine from GQL continuous queries.
+//! Drive the alarm engine from GQL continuous queries — the only way
+//! observations reach it.
 //!
-//! The classic path re-walks the whole monitoring document every round
-//! (`AlarmEngine::evaluate`). A gmetad that already evaluates GQL
-//! subscriptions after each poll round can instead push each rule's
-//! matching rows to the alarm pipeline: every [`Rule`] compiles to one
-//! GQL expression ([`rule_expr`]), the resulting rows map back to the
-//! engine's `(rule, subject, value)` observations
-//! ([`rule_observations`]), and the observations drive the exact same
+//! Every [`Rule`] compiles to one GQL expression ([`rule_expr`]), the
+//! resulting rows map back to the engine's `(rule, subject, value)`
+//! observations ([`rule_observations`]), and the observations drive the
 //! hysteresis state machine via
 //! [`AlarmEngine::apply_observations`](crate::engine::AlarmEngine::apply_observations).
-//! The two ingest paths are equivalent by construction — and by test
-//! (`feed_matches_document_walker` below).
+//! A gmetad that already evaluates GQL subscriptions after each poll
+//! round pushes each rule's matching rows to the alarm pipeline; the
+//! alarm tier has no document walker of its own.
 //!
 //! [`AlarmFeed`] bundles the compiled queries with an engine for
-//! callers that hold documents or row sets; subscription clients can
-//! instead pull [`AlarmFeed::expressions`], subscribe each one, and
-//! hand mirrored rows to [`AlarmFeed::apply_rows`].
+//! callers that hold documents ([`AlarmFeed::evaluate_doc`]) or row
+//! sets; subscription clients can instead pull
+//! [`AlarmFeed::expressions`], subscribe each one, and hand mirrored
+//! rows to [`AlarmFeed::apply_rows`].
 
 use ganglia_metrics::model::GangliaDoc;
 use ganglia_query::gql::{GqlQuery, Row, HOSTS_DOWN};
@@ -51,8 +50,7 @@ fn matcher_stage(field: &str, matcher: &Matcher) -> Option<String> {
 
 /// The GQL expression equivalent to one alarm rule, or `None` for the
 /// one unrepresentable (and meaningless) combination: a per-host rule
-/// watching the summary-only `HostsDown` signal, which the document
-/// walker also never observes.
+/// watching the summary-only `HostsDown` signal.
 pub fn rule_expr(rule: &Rule) -> Option<String> {
     let mut stages: Vec<String> = Vec::new();
     match &rule.host {
@@ -80,8 +78,7 @@ pub fn rule_expr(rule: &Rule) -> Option<String> {
 /// Map one rule's GQL result rows back to engine observations. Summary
 /// rules subject on the cluster/grid name (the summary row's CLUSTER
 /// column carries both); per-host rules subject on `cluster/host`.
-/// Rows without a numeric value observe nothing, exactly as the
-/// document walker skips them.
+/// Rows without a numeric value observe nothing.
 pub fn rule_observations(rule: &Rule, rows: &[Row]) -> Vec<(String, String, f64)> {
     let mut out = Vec::new();
     for row in rows {
@@ -102,7 +99,7 @@ struct CompiledRule {
     query: GqlQuery,
 }
 
-/// An alarm engine fed by GQL queries instead of document walks.
+/// An alarm engine fed by GQL queries.
 pub struct AlarmFeed {
     engine: AlarmEngine,
     compiled: Vec<CompiledRule>,
@@ -111,7 +108,7 @@ pub struct AlarmFeed {
 impl AlarmFeed {
     /// Compile each rule to its GQL expression. Rules that compile to
     /// nothing (per-host `HostsDown`) are carried by the engine but
-    /// never observe anything, same as under the walker.
+    /// never observe anything.
     pub fn new(rules: Vec<Rule>) -> AlarmFeed {
         let compiled = rules
             .iter()
@@ -146,7 +143,7 @@ impl AlarmFeed {
     }
 
     /// Evaluate every rule's query against a full document and drive
-    /// the state machine. Equivalent to `AlarmEngine::evaluate`.
+    /// the state machine.
     pub fn evaluate_doc(
         &mut self,
         doc: &GangliaDoc,
@@ -288,28 +285,69 @@ mod tests {
     }
 
     #[test]
-    fn feed_matches_document_walker() {
-        // The GQL feed and the document walker must produce identical
-        // event streams over a multi-round scenario that raises, holds
-        // and clears alarms.
+    fn five_round_scenario_matches_event_table() {
+        // A multi-round scenario that raises, holds and fires alarms on
+        // every observation path: cluster summaries, a summary-form grid
+        // and per-host rows (a down host's metric included). nashi's
+        // mean load (0.15) never breaches, and rules not matching a
+        // subject never observe it.
+        use crate::engine::{AlarmKind, AlarmStatus};
+        let raised = |rule: &str, subject: &str, value: f64, at: u64| AlarmEvent {
+            rule: rule.into(),
+            subject: subject.into(),
+            kind: AlarmKind::Raised,
+            value,
+            at,
+        };
+        let table: [(u64, Vec<AlarmEvent>); 5] = [
+            (
+                0,
+                vec![
+                    raised("dead-hosts", "attic", 1.0, 0),
+                    raised("dead-hosts", "meteor", 1.0, 0),
+                    raised("load-high", "attic", 3.5, 0),
+                    raised("load-high", "meteor", 3.5, 0),
+                ],
+            ),
+            (15, vec![]),
+            (
+                30,
+                vec![
+                    raised("hot", "meteor/n0", 6.0, 30),
+                    raised("hot", "meteor/n3", 9.0, 30),
+                ],
+            ),
+            (45, vec![]),
+            (60, vec![]),
+        ];
         let doc = test_doc();
-        let mut walker = AlarmEngine::new(test_rules());
         let mut feed = AlarmFeed::new(test_rules());
-        let walker_sink = MemorySink::new();
-        let feed_sink = MemorySink::new();
-        for now in [0_u64, 15, 30, 45, 60] {
-            let mut from_walker = walker.evaluate(&doc, now, &walker_sink);
-            let mut from_feed = feed.evaluate_doc(&doc, now, &feed_sink);
-            let key = |e: &AlarmEvent| (e.rule.clone(), e.subject.clone());
-            from_walker.sort_by_key(&key);
-            from_feed.sort_by_key(&key);
-            assert_eq!(from_walker, from_feed, "diverged at t={now}");
+        let sink = MemorySink::new();
+        for (now, want) in &table {
+            let mut got = feed.evaluate_doc(&doc, *now, &sink);
+            got.sort_by_key(|e| (e.rule.clone(), e.subject.clone()));
+            assert_eq!(&got, want, "diverged at t={now}");
+            if *now == 15 {
+                // The per-host rule is holding, not firing.
+                assert_eq!(
+                    feed.engine().status("hot", "meteor/n3"),
+                    AlarmStatus::Pending { since: 0 }
+                );
+            }
         }
-        assert_eq!(walker.firing(), feed.engine().firing());
-        assert!(
-            !walker_sink.events().is_empty(),
-            "scenario must actually fire alarms"
-        );
+        let firing: Vec<(String, String)> = [
+            ("dead-hosts", "attic"),
+            ("dead-hosts", "meteor"),
+            ("hot", "meteor/n0"),
+            ("hot", "meteor/n3"),
+            ("load-high", "attic"),
+            ("load-high", "meteor"),
+        ]
+        .iter()
+        .map(|(rule, subject)| (rule.to_string(), subject.to_string()))
+        .collect();
+        assert_eq!(feed.engine().firing(), firing);
+        assert_eq!(sink.events().len(), 6);
     }
 
     #[test]

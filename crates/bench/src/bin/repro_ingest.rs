@@ -6,12 +6,19 @@
 //! Usage: `repro_ingest [hosts] [rounds] [--smoke] [--json <path>]`
 //!
 //! `--json <path>` also writes the result as JSON. `--smoke` runs a
-//! CI-sized corpus and then self-checks the PR's acceptance bars: the
-//! JSON must parse, the delta path must carry ≥3× the baseline
-//! parse+merge throughput at 0% churn, warm unchanged rounds must
-//! allocate ≥10× less than the baseline, and every rendered document
-//! (the churn corpora and the paper's figure-3 grid) must be
-//! byte-identical between the two paths.
+//! CI-sized corpus and then self-checks the acceptance bars: the JSON
+//! must parse, the delta path must carry ≥3× the baseline parse+merge
+//! throughput at 0% churn, warm unchanged rounds must allocate ≥10× less
+//! than the baseline, and every rendered document (the churn corpora and
+//! the paper's figure-3 grid) must be byte-identical between the two
+//! paths.
+//!
+//! Byte identity cannot see a cache that misses every round (a cache
+//! key that changed each round would still render identically), so the
+//! reuse counts are gated exactly too: at every churn level the delta
+//! path rebuilds exactly the cold round's hosts plus each warm round's
+//! hosts whose bytes changed (counted from the corpus), and every other
+//! host of every round is reused.
 //!
 //! The worst case is gated too: at 100% churn — every host's bytes
 //! change every round, so the fingerprint cache never hits — the delta
@@ -188,6 +195,25 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
+        // Self-check 4b: the cache rebuilds exactly the hosts whose bytes
+        // changed and reuses every other host, at every churn level.
+        // Exact counts, so no noise band.
+        let host_rounds = (params.hosts * params.rounds) as u64;
+        for row in &result.rows {
+            if row.hosts_rebuilt != row.hosts_changed
+                || row.hosts_reused + row.hosts_rebuilt != host_rounds
+            {
+                eprintln!(
+                    "smoke FAILED: {:.0}%-churn reuse inexact (rebuilt {}, changed {}, \
+                     reused {}, {host_rounds} host-rounds)",
+                    row.churn * 100.0,
+                    row.hosts_rebuilt,
+                    row.hosts_changed,
+                    row.hosts_reused
+                );
+                return ExitCode::FAILURE;
+            }
+        }
         // Self-check 5: an unchanged round allocates ≥10× less than the
         // rebuild-every-round baseline on the counted path.
         let zero_allocs = &allocs[0];
@@ -235,7 +261,8 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "smoke ok: 0%-churn speedup {:.1}x, 100%-churn speedup {:.2}x, \
-             alloc reduction {:.1}x, 100%-churn alloc overhead {:+}, byte-identical",
+             alloc reduction {:.1}x, 100%-churn alloc overhead {:+}, byte-identical, \
+             exact reuse",
             zero.speedup(),
             full.speedup(),
             zero_allocs.reduction(),

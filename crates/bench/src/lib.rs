@@ -306,26 +306,28 @@ pub fn render_ingest(result: &IngestResult, allocs: &[IngestAllocReport]) -> Str
     );
     let _ = writeln!(
         out,
-        "{:>7} {:>12} {:>12} {:>9} {:>12} {:>12} {:>10} {:>11}",
+        "{:>7} {:>12} {:>12} {:>9} {:>12} {:>12} {:>14} {:>10} {:>11}",
         "churn",
         "baseline ms",
         "delta ms",
         "speedup",
         "hosts reuse",
         "hosts parse",
+        "hosts changed",
         "doc reuse",
         "byte-ident"
     );
     for row in &result.rows {
         let _ = writeln!(
             out,
-            "{:>6.0}% {:>12.2} {:>12.2} {:>8.1}x {:>12} {:>12} {:>10} {:>11}",
+            "{:>6.0}% {:>12.2} {:>12.2} {:>8.1}x {:>12} {:>12} {:>14} {:>10} {:>11}",
             row.churn * 100.0,
             row.baseline_elapsed.as_secs_f64() * 1e3,
             row.delta_elapsed.as_secs_f64() * 1e3,
             row.speedup(),
             row.hosts_reused,
             row.hosts_rebuilt,
+            row.hosts_changed,
             row.docs_reused,
             row.byte_identical
         );
@@ -368,8 +370,8 @@ pub fn render_ingest_json(result: &IngestResult, allocs: &[IngestAllocReport]) -
         let _ = write!(
             out,
             "{{\"churn\":{:.3},\"report_bytes\":{},\"baseline_us\":{},\"delta_us\":{},\
-             \"speedup\":{:.3},\"hosts_reused\":{},\"hosts_rebuilt\":{},\"docs_reused\":{},\
-             \"byte_identical\":{}}}",
+             \"speedup\":{:.3},\"hosts_reused\":{},\"hosts_rebuilt\":{},\"hosts_changed\":{},\
+             \"docs_reused\":{},\"byte_identical\":{}}}",
             row.churn,
             row.report_bytes,
             row.baseline_elapsed.as_micros(),
@@ -377,6 +379,7 @@ pub fn render_ingest_json(result: &IngestResult, allocs: &[IngestAllocReport]) -
             row.speedup(),
             row.hosts_reused,
             row.hosts_rebuilt,
+            row.hosts_changed,
             row.docs_reused,
             row.byte_identical
         );
@@ -882,6 +885,11 @@ mod tests {
         assert_eq!(
             rows[0].get("docs_reused").and_then(|v| v.as_u64()),
             Some(3),
+            "{json}"
+        );
+        assert_eq!(
+            rows[1].get("hosts_changed").and_then(|v| v.as_u64()),
+            Some(32),
             "{json}"
         );
         let ganglia_core::telemetry::json::JsonValue::Array(alloc_rows) =

@@ -476,38 +476,24 @@ pub fn build_state(
     meter: &WorkMeter,
     now: u64,
 ) -> SourceState {
-    // A well-formed child report carries exactly one top-level item; a
-    // report with several (nonstandard) is wrapped in a synthetic grid.
-    let item = if doc.items.len() == 1 {
-        doc.items.into_iter().next().expect("len checked")
-    } else {
-        GridItem::Grid(GridNode::with_items(source_name.to_string(), doc.items))
-    };
-    match item {
-        GridItem::Cluster(cluster) => {
-            let summary = meter.time(WorkCategory::Summarize, || cluster.summary());
-            SourceState::cluster(source_name, cluster, summary, now)
+    // A single item's summary verbatim, otherwise the in-order merge a
+    // synthetic wrapping grid computes — the rollup an `Ingester` makes.
+    let summary = meter.time(WorkCategory::Summarize, || match doc.items.as_slice() {
+        [item] => item.summary(),
+        items => {
+            let mut merged = SummaryBody::default();
+            for item in items {
+                merged.merge(&item.summary());
+            }
+            merged
         }
-        GridItem::Grid(grid) => {
-            let summary = meter.time(WorkCategory::Summarize, || grid.summary());
-            let stored = match mode {
-                TreeMode::NLevel => GridNode {
-                    name: grid.name,
-                    authority: grid.authority,
-                    localtime: grid.localtime,
-                    body: GridBody::Summary(summary.clone()),
-                },
-                TreeMode::OneLevel => grid,
-            };
-            SourceState::grid(source_name, stored, summary, now)
-        }
-    }
+    });
+    build_state_prepared(source_name, doc, Arc::new(summary), mode, now)
 }
 
-/// [`build_state`] for the delta-aware ingest path: the rollup was
-/// already computed (or reused) by the [`Ingester`], so nothing is
-/// re-summarized here — an unchanged round installs the previous
-/// round's `Arc`'d summary untouched.
+/// [`build_state`] with the rollup already computed (or reused) by the
+/// [`Ingester`], so nothing is re-summarized here — an unchanged round
+/// installs the previous round's `Arc`'d summary untouched.
 pub fn build_state_prepared(
     source_name: &str,
     doc: ganglia_metrics::GangliaDoc,
@@ -515,6 +501,8 @@ pub fn build_state_prepared(
     mode: TreeMode,
     now: u64,
 ) -> SourceState {
+    // A well-formed child report carries exactly one top-level item; a
+    // report with several (nonstandard) is wrapped in a synthetic grid.
     let item = if doc.items.len() == 1 {
         doc.items.into_iter().next().expect("len checked")
     } else {
@@ -535,11 +523,6 @@ pub fn build_state_prepared(
             SourceState::grid(source_name, stored, summary, now)
         }
     }
-}
-
-/// Convenience for tests: an empty summary.
-pub fn empty_summary() -> SummaryBody {
-    SummaryBody::default()
 }
 
 #[cfg(test)]

@@ -4,18 +4,21 @@
 //! Between poll rounds a gmond tree is ~95% byte-identical — only a few
 //! metric values move — yet a plain [`crate::parse_document`] call
 //! rebuilds every node and recomputes every summary from scratch. The
-//! [`Ingester`] keeps a per-source cache keyed by content fingerprint:
+//! [`Ingester`] runs the model parser's one document walk
+//! ([`crate::stream`]) with a host hook and a summary rollup of its own,
+//! and keeps a per-source cache keyed by content fingerprint:
 //!
 //! * **whole document** — if the report's bytes are identical to the
 //!   previous round, the cached [`GangliaDoc`] (refcounted host nodes)
 //!   and summary are returned without parsing at all;
-//! * **per `<HOST>` subtree** — otherwise each host's byte span is
+//! * **per `<HOST>` subtree** — otherwise the host hook fingerprints
+//!   each host's byte span; a hit reuses the previous round's
+//!   `Arc<HostNode>`, a miss builds the node **through the streaming
+//!   no-DOM machine**, so the only allocations a rebuild performs are the
+//!   ones the new node itself needs. Under low churn a span is first
 //!   delimited with the parser's raw skip (no events, no attribute
-//!   vectors) and fingerprinted; a hit reuses the previous round's
-//!   `Arc<HostNode>`, a miss re-parses just that span **through the
-//!   streaming no-DOM machine** ([`crate::stream`]): events land in one
-//!   reusable scratch, so the only allocations a rebuild performs are
-//!   the ones the new node itself needs;
+//!   vectors) and parsed only on a miss; under high churn each host is
+//!   parsed in the pass that delimits it;
 //! * **cluster summary** — if the roster of host fingerprints is
 //!   unchanged, the cached summary `Arc` is reused outright. Otherwise
 //!   the summary is recomputed by whichever strategy is cheaper for the
@@ -28,30 +31,28 @@
 //!
 //! The worst case is deliberately bounded: a 100%-churn round does the
 //! same model-node construction a plain `parse_document` does, plus one
-//! cheap raw byte scan per host — no per-event allocation, no per-host
+//! span fingerprint per host — no per-event allocation, no per-host
 //! summary bookkeeping. `repro_ingest --smoke` gates this (speedup ≥
 //! 1.0x at 100% churn) alongside the 0%-churn fast path.
 //!
 //! The invariant the rest of the system depends on: an [`Ingester`]
 //! produces exactly the document and summary a fresh
-//! [`crate::parse_document`] + [`ClusterNode::summary`] would — rendered
-//! XML stays byte-identical, so revision-keyed response caches and RRD
-//! archives never observe the cache.
+//! [`crate::parse_document`] + [`crate::ClusterNode::summary`] would —
+//! rendered XML stays byte-identical, so revision-keyed response caches
+//! and RRD archives never observe the cache — and a report that fails
+//! fails with exactly `parse_document`'s error.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ganglia_xml::names::{self, attr};
-use ganglia_xml::{AttrScratch, PullParser, StreamEvent};
+use ganglia_xml::{AttrScratch, PullParser};
 
 use crate::atom::Atom;
 use crate::codec::ParseError;
-use crate::model::{
-    ClusterBody, ClusterNode, GangliaDoc, GridBody, GridItem, GridNode, HostNode, MetricSummary,
-    SummaryBody,
-};
-use crate::stream;
+use crate::model::{GangliaDoc, HostNode, SummaryBody};
+use crate::stream::{self, Walk};
 
 type Result<T> = std::result::Result<T, ParseError>;
 
@@ -134,61 +135,6 @@ impl std::hash::BuildHasher for FxBuildHasher {
     }
 }
 
-/// Bitwise-identical twin of [`SummaryBody::from_hosts`], tuned for the
-/// steady-state roster the ingester sees: hosts in a cluster report the
-/// same metric set in the same order, so each metric is first matched
-/// against the slot *after* the previous hit — one interned-pointer
-/// comparison — and only falls back to a name scan when a host's metric
-/// set diverges. Slots are created in the same first-seen order and the
-/// f64 sums accumulate in the same sequence as `from_hosts`' hash-map
-/// index, so the result is bit-for-bit identical (asserted by tests).
-/// `from_hosts` remains the reference implementation; this is the
-/// production path for full-roster recomputes.
-fn summarize_hosts<'a>(hosts: impl IntoIterator<Item = &'a HostNode>) -> SummaryBody {
-    let mut summary = SummaryBody::default();
-    for host in hosts {
-        if !host.is_up() {
-            summary.hosts_down += 1;
-            continue;
-        }
-        summary.hosts_up += 1;
-        let mut cursor = 0usize;
-        for metric in &host.metrics {
-            let Some(x) = metric.value.as_f64() else {
-                continue; // non-numeric metrics are not summarizable
-            };
-            match summary.metrics.get_mut(cursor) {
-                Some(entry) if entry.name == metric.name => {
-                    entry.sum += x;
-                    entry.num += 1;
-                    cursor += 1;
-                }
-                _ => match summary.metrics.iter().position(|m| m.name == metric.name) {
-                    Some(slot) => {
-                        let entry = &mut summary.metrics[slot];
-                        entry.sum += x;
-                        entry.num += 1;
-                        cursor = slot + 1;
-                    }
-                    None => {
-                        summary.metrics.push(MetricSummary {
-                            name: metric.name.clone(),
-                            sum: x,
-                            num: 1,
-                            ty: metric.value.metric_type(),
-                            units: metric.units.clone(),
-                            slope: metric.slope,
-                            source: metric.source.clone(),
-                        });
-                        cursor = summary.metrics.len();
-                    }
-                },
-            }
-        }
-    }
-    summary
-}
-
 /// What one [`Ingester::ingest`] round did, for telemetry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IngestStats {
@@ -230,8 +176,8 @@ type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 struct HostEntry {
     fp: u64,
     node: Arc<HostNode>,
-    /// `SummaryBody::from_host(&node)` — this host's additive share of
-    /// the cluster summary. Computed lazily the first time a contrib
+    /// `SummaryBody::from_hosts([&node])` — this host's additive share
+    /// of the cluster summary. Computed lazily the first time a contrib
     /// merge needs it; `Some` implies it matches `node`.
     contrib: Option<SummaryBody>,
     round: u64,
@@ -265,6 +211,19 @@ struct ClusterCache {
     direct_mode: bool,
 }
 
+impl Default for ClusterCache {
+    fn default() -> Self {
+        ClusterCache {
+            hosts: FxMap::default(),
+            roster_fp: 0,
+            summary: Arc::new(SummaryBody::default()),
+            round: 0,
+            metrics_hint: 0,
+            direct_mode: true,
+        }
+    }
+}
+
 struct CachedDoc {
     /// The previous round's input, verbatim. Whole-document reuse is a
     /// direct byte comparison against this: memcmp runs far faster
@@ -290,10 +249,12 @@ pub struct Ingester {
     /// Consecutive rounds whose bytes missed the whole-document cache.
     /// Once the source is observably churning every round, refreshing
     /// the cached copy is pure overhead and is suspended (see
-    /// `ingest_with`).
+    /// `ingest_walked`).
     doc_miss_streak: u8,
     /// Reusable event scratch for the streaming machine.
     scratch: AttrScratch,
+    /// Reusable buffer for cluster cache keys (`grid/…/cluster`).
+    path: String,
 }
 
 impl std::fmt::Debug for Ingester {
@@ -316,18 +277,17 @@ impl Ingester {
 
     /// Parse `input`, reusing cached subtrees where the bytes match the
     /// previous round. Produces exactly what `parse_document` + a fresh
-    /// summary computation would.
+    /// summary computation would — including, on failure, exactly
+    /// `parse_document`'s error. Skip mode delimits hosts with a raw
+    /// scan and re-parses a changed span on its own, so its error could
+    /// name a different fault or count offsets from the span; errors are
+    /// rare, so a failed round re-runs the one-shot walk for its error.
     pub fn ingest(&mut self, input: &str) -> Result<Ingested> {
-        // The scratch moves out for the duration of the walk so it can
-        // be borrowed alongside the cluster caches; it is restored even
-        // on error (errors are rare, but the warmed buffers are not free).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.ingest_with(input, &mut scratch);
-        self.scratch = scratch;
-        result
+        self.ingest_walked(input)
+            .map_err(|err| crate::parse_document(input).err().unwrap_or(err))
     }
 
-    fn ingest_with(&mut self, input: &str, scratch: &mut AttrScratch) -> Result<Ingested> {
+    fn ingest_walked(&mut self, input: &str) -> Result<Ingested> {
         let mut stats = IngestStats {
             bytes: input.len() as u64,
             ..IngestStats::default()
@@ -347,83 +307,14 @@ impl Ingester {
         }
         self.round += 1;
         let round = self.round;
-
-        let mut parser = PullParser::new(input);
-        // Skip the prolog to the root element; the parser itself
-        // rejects text or a close tag here.
-        let root_name = loop {
-            match parser.next_event_into(scratch)? {
-                Some(StreamEvent::Start { name, .. }) => break name,
-                Some(_) => continue,
-                None => return Err(ParseError::BadRoot("(empty)".into())),
-            }
+        self.path.clear();
+        let mut walk = DeltaWalk {
+            clusters: &mut self.clusters,
+            path: &mut self.path,
+            round,
+            stats: &mut stats,
         };
-        if root_name != names::GANGLIA_XML {
-            return Err(ParseError::BadRoot(root_name.to_string()));
-        }
-        let mut doc = GangliaDoc {
-            version: stream::optional_string(input, scratch, attr::VERSION),
-            source: stream::optional_string(input, scratch, attr::SOURCE),
-            items: Vec::new(),
-        };
-        let mut item_summaries: Vec<Arc<SummaryBody>> = Vec::new();
-        loop {
-            match parser.next_event_into(scratch)? {
-                Some(StreamEvent::Start { name, .. }) => match name {
-                    names::GRID => {
-                        let hdr = stream::grid_header(input, scratch)?;
-                        let (grid, summary) = self.ingest_grid(
-                            &mut parser,
-                            input,
-                            scratch,
-                            hdr,
-                            "",
-                            round,
-                            &mut stats,
-                        )?;
-                        doc.items.push(GridItem::Grid(grid));
-                        item_summaries.push(summary);
-                    }
-                    names::CLUSTER => {
-                        let hdr = stream::cluster_header(input, scratch)?;
-                        let (cluster, summary) = self.ingest_cluster(
-                            &mut parser,
-                            input,
-                            scratch,
-                            hdr,
-                            "",
-                            round,
-                            &mut stats,
-                        )?;
-                        doc.items.push(GridItem::Cluster(cluster));
-                        item_summaries.push(summary);
-                    }
-                    other => {
-                        return Err(ParseError::UnexpectedTag {
-                            parent: names::GANGLIA_XML.into(),
-                            tag: other.to_string(),
-                        })
-                    }
-                },
-                Some(StreamEvent::End { .. }) => break,
-                Some(_) => continue,
-                None => break,
-            }
-        }
-
-        // Document summary: a single item's summary verbatim, otherwise
-        // the in-order merge a synthetic wrapping grid would compute.
-        let summary = if item_summaries.len() == 1 {
-            item_summaries.pop().expect("len checked")
-        } else {
-            let t0 = Instant::now();
-            let mut merged = SummaryBody::default();
-            for s in &item_summaries {
-                merged.merge(s);
-            }
-            stats.summarize_time += t0.elapsed();
-            Arc::new(merged)
-        };
+        let (doc, summary) = stream::walk_document(input, &mut self.scratch, &mut walk)?;
 
         // Drop cache entries for clusters and hosts that vanished.
         self.clusters.retain(|_, c| c.round == round);
@@ -443,7 +334,6 @@ impl Ingester {
             self.doc_miss_streak = self.doc_miss_streak.saturating_add(1);
         }
         if self.doc_miss_streak < 2 {
-            let detail_hosts = count_detail_hosts(&doc);
             // Reuse the previous round's text allocation for the new copy.
             let mut text = self.cached.take().map(|c| c.text).unwrap_or_default();
             text.clear();
@@ -452,7 +342,8 @@ impl Ingester {
                 text,
                 doc: doc.clone(),
                 summary: Arc::clone(&summary),
-                detail_hosts,
+                // Every detail host passes the host hook exactly once.
+                detail_hosts: stats.hosts_reused + stats.hosts_rebuilt,
             });
         }
         Ok(Ingested {
@@ -461,350 +352,210 @@ impl Ingester {
             stats,
         })
     }
+}
 
-    /// Mirror of the streaming grid parser, recursing through nested
-    /// grids and routing clusters through the host cache. Returns the
-    /// node plus its summary (what `GridNode::summary()` would compute).
-    #[allow(clippy::too_many_arguments)]
-    fn ingest_grid(
-        &mut self,
-        parser: &mut PullParser<'_>,
-        input: &str,
-        scratch: &mut AttrScratch,
-        header: stream::GridHeader,
-        path: &str,
-        round: u64,
-        stats: &mut IngestStats,
-    ) -> Result<(GridNode, Arc<SummaryBody>)> {
-        let child_path = if path.is_empty() {
-            header.name.clone()
-        } else {
-            format!("{path}/{}", header.name)
-        };
-        let mut items: Vec<GridItem> = Vec::new();
-        let mut child_summaries: Vec<Arc<SummaryBody>> = Vec::new();
-        let mut summary: Option<SummaryBody> = None;
-        loop {
-            match parser.next_event_into(scratch)? {
-                Some(StreamEvent::Start { name: tag, .. }) => match tag {
-                    names::GRID => {
-                        let hdr = stream::grid_header(input, scratch)?;
-                        let (grid, s) = self.ingest_grid(
-                            parser,
-                            input,
-                            scratch,
-                            hdr,
-                            &child_path,
-                            round,
-                            stats,
-                        )?;
-                        items.push(GridItem::Grid(grid));
-                        child_summaries.push(s);
-                    }
-                    names::CLUSTER => {
-                        let hdr = stream::cluster_header(input, scratch)?;
-                        let (cluster, s) = self.ingest_cluster(
-                            parser,
-                            input,
-                            scratch,
-                            hdr,
-                            &child_path,
-                            round,
-                            stats,
-                        )?;
-                        items.push(GridItem::Cluster(cluster));
-                        child_summaries.push(s);
-                    }
-                    names::HOSTS => {
-                        let body = summary.get_or_insert_with(SummaryBody::default);
-                        body.hosts_up =
-                            stream::parse_num(input, scratch, names::HOSTS, attr::UP, 0u32)?;
-                        body.hosts_down =
-                            stream::parse_num(input, scratch, names::HOSTS, attr::DOWN, 0u32)?;
-                        parser.skip_subtree_into(scratch)?;
-                    }
-                    names::METRICS => {
-                        let body = summary.get_or_insert_with(SummaryBody::default);
-                        body.metrics
-                            .push(stream::parse_metric_summary(input, scratch)?);
-                        parser.skip_subtree_into(scratch)?;
-                    }
-                    other => {
-                        return Err(ParseError::UnexpectedTag {
-                            parent: names::GRID.into(),
-                            tag: other.to_string(),
-                        })
-                    }
-                },
-                Some(StreamEvent::End { .. }) => break,
-                Some(_) => continue,
-                None => break,
-            }
-        }
-        let (body, grid_summary) = match summary {
-            Some(s) if items.is_empty() => {
-                let arc = Arc::new(s.clone());
-                (GridBody::Summary(s), arc)
-            }
-            // Expanded form kept; summary recomputed from children, in
-            // order, exactly as `GridNode::summary()` does.
-            Some(_) | None => {
-                let t0 = Instant::now();
-                let mut merged = SummaryBody::default();
-                for s in &child_summaries {
-                    merged.merge(s);
-                }
-                stats.summarize_time += t0.elapsed();
-                (GridBody::Items(items), Arc::new(merged))
-            }
-        };
-        Ok((
-            GridNode {
-                name: header.name,
-                authority: header.authority,
-                localtime: header.localtime,
-                body,
-            },
-            grid_summary,
-        ))
+/// One walked round: the model parser's walk with the host cache as its
+/// host hook and `Arc`'d summaries as its rollups.
+struct DeltaWalk<'a> {
+    clusters: &'a mut FxMap<String, ClusterCache>,
+    /// `grid/…/` prefix of the element being walked.
+    path: &'a mut String,
+    round: u64,
+    stats: &'a mut IngestStats,
+}
+
+/// One cluster of a walked round: its cache and what the round has seen.
+struct ClusterRound<'a> {
+    cache: &'a mut ClusterCache,
+    stats: &'a mut IngestStats,
+    round: u64,
+    roster_fp: u64,
+    rebuilt: usize,
+    /// Two hosts in the roster share a name: the per-name contribution
+    /// cache cannot represent the roster.
+    duplicate_names: bool,
+}
+
+impl Walk for DeltaWalk<'_> {
+    type Cluster<'c>
+        = ClusterRound<'c>
+    where
+        Self: 'c;
+    type Summary = Arc<SummaryBody>;
+
+    fn enter_grid(&mut self, name: &str) {
+        self.path.push_str(name);
+        self.path.push('/');
     }
 
-    /// Mirror of the streaming cluster parser with the delta path: each
-    /// `<HOST>` span is fingerprinted before it is parsed.
-    #[allow(clippy::too_many_arguments)]
-    fn ingest_cluster(
-        &mut self,
+    fn leave_grid(&mut self, name: &str) {
+        self.path.truncate(self.path.len() - name.len() - 1);
+    }
+
+    fn cluster(&mut self, name: &str) -> ClusterRound<'_> {
+        let prefix = self.path.len();
+        self.path.push_str(name);
+        if !self.clusters.contains_key(self.path.as_str()) {
+            self.clusters
+                .insert(self.path.clone(), ClusterCache::default());
+        }
+        let cache = self
+            .clusters
+            .get_mut(self.path.as_str())
+            .expect("inserted above");
+        self.path.truncate(prefix);
+        ClusterRound {
+            cache,
+            stats: &mut *self.stats,
+            round: self.round,
+            roster_fp: 0xcafe_f00d_dead_beef,
+            rebuilt: 0,
+            duplicate_names: false,
+        }
+    }
+
+    fn hosts_hint(cluster: &ClusterRound<'_>) -> usize {
+        cluster.cache.hosts.len()
+    }
+
+    /// The delta path: each `<HOST>` span is fingerprinted, and a span
+    /// whose bytes match the cached entry reuses its node.
+    fn host(
+        c: &mut ClusterRound<'_>,
         parser: &mut PullParser<'_>,
         input: &str,
         scratch: &mut AttrScratch,
-        header: stream::ClusterHeader,
-        path: &str,
-        round: u64,
-        stats: &mut IngestStats,
-    ) -> Result<(ClusterNode, Arc<SummaryBody>)> {
-        let key = if path.is_empty() {
-            header.name.clone()
+    ) -> Result<Arc<HostNode>> {
+        let span_start = parser.last_event_start();
+        let (name, parsed) = if c.cache.direct_mode {
+            // Direct mode: parse in the same pass that delimits the span
+            // — nothing is scanned twice. The node's own interned name
+            // keys the cache (no second intern).
+            let node = stream::parse_host(parser, input, scratch, c.cache.metrics_hint)?;
+            (node.name.clone(), Some(node))
         } else {
-            format!("{path}/{}", header.name)
+            // Skip mode: raw-skip and fingerprint first; parse only on a
+            // miss.
+            let name = Atom::new(stream::required(input, scratch, names::HOST, attr::NAME)?);
+            parser.skip_subtree_raw()?;
+            (name, None)
         };
-        let cache = self.clusters.entry(key).or_insert_with(|| ClusterCache {
-            hosts: FxMap::default(),
-            roster_fp: 0,
-            summary: Arc::new(SummaryBody::default()),
-            round: 0,
-            metrics_hint: 0,
-            direct_mode: true,
-        });
-
-        let mut hosts: Vec<Arc<HostNode>> = Vec::with_capacity(cache.hosts.len());
-        // Host names in document order, with a duplicate flag: the
-        // summary contribution merge needs both.
-        let mut roster: Vec<Atom> = Vec::with_capacity(cache.hosts.len());
-        let mut duplicate_names = false;
-        let mut rebuilt_here = 0usize;
-        let mut roster_fp = 0xcafe_f00d_dead_beefu64;
-        let mut summary: Option<SummaryBody> = None;
-        loop {
-            match parser.next_event_into(scratch)? {
-                Some(StreamEvent::Start { name: tag, .. }) => match tag {
-                    names::HOST => {
-                        let span_start = parser.last_event_start();
-                        let (host_name, fp, parsed) = if cache.direct_mode {
-                            // Direct mode: parse in the same pass that
-                            // delimits the span — nothing is scanned
-                            // twice. The node's own interned name keys
-                            // the cache (no second intern).
-                            let node =
-                                stream::parse_host(parser, input, scratch, cache.metrics_hint)?;
-                            let span = &input[span_start..parser.offset()];
-                            (
-                                node.name.clone(),
-                                fingerprint64(span.as_bytes()),
-                                Some(node),
-                            )
-                        } else {
-                            // Skip mode: raw-skip and fingerprint first;
-                            // parse only on a miss.
-                            let host_name = Atom::new(stream::required(
-                                input,
-                                scratch,
-                                names::HOST,
-                                attr::NAME,
-                            )?);
-                            parser.skip_subtree_raw()?;
-                            let span = &input[span_start..parser.offset()];
-                            (host_name, fingerprint64(span.as_bytes()), None)
-                        };
-                        roster_fp =
-                            (roster_fp.rotate_left(7) ^ fp).wrapping_mul(0x517c_c1b7_2722_0a95);
-                        let reuse = cache
-                            .hosts
-                            .get(&host_name)
-                            .is_some_and(|entry| entry.fp == fp);
-                        if reuse {
-                            // Unchanged bytes: the cached entry (node Arc
-                            // and memoized contribution) is still exact,
-                            // even if direct mode parsed eagerly.
-                            let entry = cache.hosts.get_mut(&host_name).expect("checked above");
-                            if entry.round == round {
-                                duplicate_names = true;
-                            }
-                            entry.round = round;
-                            hosts.push(Arc::clone(&entry.node));
-                            stats.hosts_reused += 1;
-                        } else {
-                            // Span miss: in skip mode the host is parsed
-                            // now, through the streaming machine over its
-                            // span. Full well-formedness checks apply;
-                            // the only allocations are the node's own.
-                            let node = match parsed {
-                                Some(node) => node,
-                                None => {
-                                    let span = &input[span_start..parser.offset()];
-                                    stream::parse_host_span(span, scratch, cache.metrics_hint)?
-                                }
-                            };
-                            let node = Arc::new(node);
-                            cache.metrics_hint = node.metrics.len();
-                            if cache
-                                .hosts
-                                .get(&host_name)
-                                .is_some_and(|entry| entry.round == round)
-                            {
-                                duplicate_names = true;
-                            }
-                            hosts.push(Arc::clone(&node));
-                            cache.hosts.insert(
-                                host_name.clone(),
-                                HostEntry {
-                                    fp,
-                                    node,
-                                    contrib: None,
-                                    round,
-                                },
-                            );
-                            rebuilt_here += 1;
-                            stats.hosts_rebuilt += 1;
-                        }
-                        roster.push(host_name);
-                    }
-                    names::HOSTS => {
-                        let body = summary.get_or_insert_with(SummaryBody::default);
-                        body.hosts_up =
-                            stream::parse_num(input, scratch, names::HOSTS, attr::UP, 0u32)?;
-                        body.hosts_down =
-                            stream::parse_num(input, scratch, names::HOSTS, attr::DOWN, 0u32)?;
-                        parser.skip_subtree_into(scratch)?;
-                    }
-                    names::METRICS => {
-                        let body = summary.get_or_insert_with(SummaryBody::default);
-                        body.metrics
-                            .push(stream::parse_metric_summary(input, scratch)?);
-                        parser.skip_subtree_into(scratch)?;
-                    }
-                    other => {
-                        return Err(ParseError::UnexpectedTag {
-                            parent: names::CLUSTER.into(),
-                            tag: other.to_string(),
-                        })
-                    }
-                },
-                Some(StreamEvent::End { .. }) => break,
-                Some(_) => continue,
-                None => break,
-            }
+        let span = &input[span_start..parser.offset()];
+        let fp = fingerprint64(span.as_bytes());
+        c.roster_fp = (c.roster_fp.rotate_left(7) ^ fp).wrapping_mul(0x517c_c1b7_2722_0a95);
+        if let Some(entry) = c.cache.hosts.get_mut(&name).filter(|e| e.fp == fp) {
+            // Unchanged bytes: the cached entry (node Arc and memoized
+            // contribution) is still exact, even if direct mode parsed
+            // eagerly.
+            c.duplicate_names |= entry.round == c.round;
+            entry.round = c.round;
+            c.stats.hosts_reused += 1;
+            return Ok(Arc::clone(&entry.node));
         }
+        // Span miss: in skip mode the host is parsed now, through the
+        // streaming machine over its span. Full well-formedness checks
+        // apply; the only allocations are the node's own.
+        let node = match parsed {
+            Some(node) => node,
+            None => stream::parse_host_span(span, scratch, c.cache.metrics_hint)?,
+        };
+        let node = Arc::new(node);
+        c.cache.metrics_hint = node.metrics.len();
+        let entry = HostEntry {
+            fp,
+            node: Arc::clone(&node),
+            contrib: None,
+            round: c.round,
+        };
+        if let Some(old) = c.cache.hosts.insert(name, entry) {
+            c.duplicate_names |= old.round == c.round;
+        }
+        c.rebuilt += 1;
+        c.stats.hosts_rebuilt += 1;
+        Ok(node)
+    }
+
+    /// The cluster summary: the cached `Arc` when the roster of host
+    /// fingerprints is unchanged, else recomputed by whichever strategy
+    /// is cheaper for the observed churn.
+    fn hosts(c: ClusterRound<'_>, hosts: &[Arc<HostNode>]) -> Arc<SummaryBody> {
+        let ClusterRound {
+            cache,
+            stats,
+            round,
+            roster_fp,
+            rebuilt,
+            duplicate_names,
+        } = c;
         cache.round = round;
         // Adapt the scan strategy to the churn just observed: if at
         // least half the roster was rebuilt, next round parses directly
         // (one scan per host); otherwise it skips-and-fingerprints.
-        if !roster.is_empty() {
-            cache.direct_mode = rebuilt_here * 2 >= roster.len();
+        let churned = !hosts.is_empty() && rebuilt * 2 >= hosts.len();
+        if !hosts.is_empty() {
+            cache.direct_mode = churned;
+            if cache.roster_fp == roster_fp {
+                // Same hosts, same bytes, same order: the previous
+                // round's merged summary is still exact.
+                stats.summaries_reused += 1;
+                return Arc::clone(&cache.summary);
+            }
         }
-
-        let (body, cluster_summary) = match (hosts.is_empty(), summary) {
-            (false, Some(_)) => return Err(ParseError::MixedClusterBody(header.name)),
-            (true, Some(s)) => {
-                let arc = Arc::new(s.clone());
-                (ClusterBody::Summary(s), arc)
+        let t0 = Instant::now();
+        let merged = if duplicate_names || churned {
+            // Duplicate names defeat the per-name contribution cache;
+            // under high churn most contributions would have to be
+            // rebuilt anyway. One direct pass over the nodes is
+            // bitwise-identical to the contribution merge (same
+            // addition order).
+            if duplicate_names {
+                stats.dup_fallbacks += 1;
+            } else {
+                stats.summaries_direct += 1;
             }
-            (_, None) => {
-                let cluster_summary = if !roster.is_empty() && cache.roster_fp == roster_fp {
-                    // Same hosts, same bytes, same order: the previous
-                    // round's merged summary is still exact.
-                    stats.summaries_reused += 1;
-                    Arc::clone(&cache.summary)
-                } else {
-                    let t0 = Instant::now();
-                    let merged = if duplicate_names {
-                        // Pathological roster (two hosts sharing a name):
-                        // the per-name contribution cache cannot represent
-                        // it, so fall back to the direct computation.
-                        stats.dup_fallbacks += 1;
-                        summarize_hosts(hosts.iter().map(|h| &**h))
-                    } else if !roster.is_empty() && rebuilt_here * 2 >= roster.len() {
-                        // High churn: most contributions would have to be
-                        // rebuilt anyway, so one direct pass over the
-                        // nodes is cheaper — and bitwise-identical to the
-                        // contribution merge (same addition order).
-                        stats.summaries_direct += 1;
-                        summarize_hosts(hosts.iter().map(|h| &**h))
-                    } else {
-                        let mut merged = SummaryBody::default();
-                        for host_name in &roster {
-                            let entry = cache
-                                .hosts
-                                .get_mut(host_name)
-                                .expect("roster entries cached");
-                            if entry.contrib.is_none() {
-                                entry.contrib = Some(SummaryBody::from_host(&entry.node));
-                            }
-                            merged.merge(entry.contrib.as_ref().expect("just filled"));
-                        }
-                        merged
-                    };
-                    stats.summarize_time += t0.elapsed();
-                    let merged = Arc::new(merged);
-                    cache.roster_fp = roster_fp;
-                    cache.summary = Arc::clone(&merged);
-                    merged
-                };
-                (ClusterBody::Hosts(hosts), cluster_summary)
+            SummaryBody::from_hosts(hosts.iter().map(|h| &**h))
+        } else {
+            let mut merged = SummaryBody::default();
+            for host in hosts {
+                let entry = cache
+                    .hosts
+                    .get_mut(&host.name)
+                    .expect("roster entries cached");
+                let contrib = entry
+                    .contrib
+                    .get_or_insert_with(|| SummaryBody::from_hosts([&*entry.node]));
+                merged.merge(contrib);
             }
+            merged
         };
-        Ok((
-            ClusterNode {
-                name: header.name,
-                owner: header.owner,
-                latlong: header.latlong,
-                url: header.url,
-                localtime: header.localtime,
-                body,
-            },
-            cluster_summary,
-        ))
+        stats.summarize_time += t0.elapsed();
+        let merged = Arc::new(merged);
+        cache.roster_fp = roster_fp;
+        cache.summary = Arc::clone(&merged);
+        merged
     }
-}
 
-fn count_detail_hosts(doc: &GangliaDoc) -> u64 {
-    fn in_item(item: &GridItem) -> u64 {
-        match item {
-            GridItem::Cluster(c) => match &c.body {
-                ClusterBody::Hosts(hosts) => hosts.len() as u64,
-                ClusterBody::Summary(_) => 0,
-            },
-            GridItem::Grid(g) => match &g.body {
-                GridBody::Items(items) => items.iter().map(in_item).sum(),
-                GridBody::Summary(_) => 0,
-            },
-        }
+    fn summary(&mut self, body: &SummaryBody) -> Arc<SummaryBody> {
+        Arc::new(body.clone())
     }
-    doc.items.iter().map(in_item).sum()
+
+    /// Children's summaries merged in order, exactly as
+    /// `GridNode::summary()` does.
+    fn merge(&mut self, items: Vec<Arc<SummaryBody>>) -> Arc<SummaryBody> {
+        let t0 = Instant::now();
+        let mut merged = SummaryBody::default();
+        for s in &items {
+            merged.merge(s);
+        }
+        self.stats.summarize_time += t0.elapsed();
+        Arc::new(merged)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{ClusterBody, GridItem};
     use crate::{parse_document, write_document};
 
     fn cluster_xml(hosts: &[(u32, f64)]) -> String {
@@ -951,6 +702,84 @@ mod tests {
         assert_eq!(got.summary.metric("load_one").unwrap().sum, 1.0);
     }
 
+    fn host_xml(name: &str, load: f64) -> String {
+        format!(
+            "<HOST NAME=\"{name}\" IP=\"10.0.0.1\" REPORTED=\"90\" TN=\"5\" TMAX=\"20\" DMAX=\"0\">\
+             <METRIC NAME=\"load_one\" VAL=\"{load}\" TYPE=\"float\" SLOPE=\"both\"/></HOST>"
+        )
+    }
+
+    /// Ingest `xml` and check it against the plain parse and the
+    /// document's own summary.
+    fn ingest_exact(ingester: &mut Ingester, xml: &str) -> IngestStats {
+        let got = ingester.ingest(xml).unwrap();
+        let want = parse_document(xml).unwrap();
+        assert_eq!(got.doc, want);
+        assert_eq!(write_document(&got.doc), write_document(&want));
+        let GridItem::Grid(g) = &want.items[0] else {
+            panic!("expected grid");
+        };
+        assert_eq!(*got.summary, g.summary());
+        got.stats
+    }
+
+    #[test]
+    fn nested_grid_hosts_are_reused_across_rounds() {
+        // A child gmetad's dump nests its clusters in grids: the cache
+        // keys below a GRID must be stable across rounds, in both scan
+        // modes (round 2 parses directly, round 3 skips).
+        let report = |localtime: u32| {
+            format!(
+                "<GANGLIA_XML VERSION=\"2.5.4\" SOURCE=\"gmetad\">\
+                 <GRID NAME=\"top\" AUTHORITY=\"http://top/\" LOCALTIME=\"{localtime}\">\
+                 <GRID NAME=\"mid\" AUTHORITY=\"http://mid/\" LOCALTIME=\"{localtime}\">\
+                 <CLUSTER NAME=\"deep\" LOCALTIME=\"{localtime}\">{}{}</CLUSTER></GRID>\
+                 <CLUSTER NAME=\"near\" LOCALTIME=\"{localtime}\">{}{}{}</CLUSTER>\
+                 </GRID></GANGLIA_XML>",
+                host_xml("d0", 0.5),
+                host_xml("d1", 1.5),
+                host_xml("n0", 2.5),
+                host_xml("n1", 3.5),
+                host_xml("n2", 4.5),
+            )
+        };
+        let mut ingester = Ingester::new();
+        let cold = ingest_exact(&mut ingester, &report(100));
+        assert_eq!((cold.hosts_reused, cold.hosts_rebuilt), (0, 5));
+        for localtime in [115, 130] {
+            let warm = ingest_exact(&mut ingester, &report(localtime));
+            assert!(!warm.doc_reused);
+            assert_eq!((warm.hosts_reused, warm.hosts_rebuilt), (5, 0));
+            assert_eq!(warm.summaries_reused, 2);
+        }
+    }
+
+    #[test]
+    fn same_named_clusters_under_different_grids_keep_separate_caches() {
+        let report = |east_load: f64| {
+            format!(
+                "<GANGLIA_XML VERSION=\"2.5.4\" SOURCE=\"gmetad\"><GRID NAME=\"top\">\
+                 <GRID NAME=\"east\"><CLUSTER NAME=\"c\">{}{}</CLUSTER></GRID>\
+                 <GRID NAME=\"west\"><CLUSTER NAME=\"c\">{}{}</CLUSTER></GRID>\
+                 </GRID></GANGLIA_XML>",
+                host_xml("h0", east_load),
+                host_xml("h1", 1.0),
+                host_xml("h0", 7.0),
+                host_xml("h1", 8.0),
+            )
+        };
+        let mut ingester = Ingester::new();
+        let cold = ingest_exact(&mut ingester, &report(0.5));
+        assert_eq!(cold.hosts_rebuilt, 4);
+        assert_eq!(cold.dup_fallbacks, 0);
+        // Only east/c's h0 changes: west/c keeps its own entries.
+        for load in [0.75, 0.25] {
+            let warm = ingest_exact(&mut ingester, &report(load));
+            assert_eq!((warm.hosts_reused, warm.hosts_rebuilt), (3, 1));
+            assert_eq!(warm.dup_fallbacks, 0);
+        }
+    }
+
     #[test]
     fn bad_reports_still_error() {
         let mut ingester = Ingester::new();
@@ -970,12 +799,52 @@ mod tests {
         assert_ne!(fingerprint64(b""), fingerprint64(b"\0"));
     }
 
+    /// The name-indexed fold `from_hosts` used before it took the cursor
+    /// fold: a hash map from metric name to slot, no ordering heuristic.
+    fn name_indexed_fold(hosts: &[HostNode]) -> SummaryBody {
+        let mut summary = SummaryBody::default();
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        for host in hosts {
+            if !host.is_up() {
+                summary.hosts_down += 1;
+                continue;
+            }
+            summary.hosts_up += 1;
+            for metric in &host.metrics {
+                let Some(x) = metric.value.as_f64() else {
+                    continue;
+                };
+                match index.get(metric.name.as_str()) {
+                    Some(&slot) => {
+                        summary.metrics[slot].sum += x;
+                        summary.metrics[slot].num += 1;
+                    }
+                    None => {
+                        index.insert(metric.name.as_str(), summary.metrics.len());
+                        summary.metrics.push(crate::model::MetricSummary {
+                            name: metric.name.clone(),
+                            sum: x,
+                            num: 1,
+                            ty: metric.value.metric_type(),
+                            units: metric.units.clone(),
+                            slope: metric.slope,
+                            source: metric.source.clone(),
+                        });
+                    }
+                }
+            }
+        }
+        summary
+    }
+
     #[test]
     fn summarize_hosts_matches_from_hosts_exactly() {
-        // The cursor-based summarizer must be bit-for-bit `from_hosts`,
-        // including on rosters that defeat the fast path: down hosts,
-        // hosts with divergent metric sets, reordered metrics, duplicate
-        // metric names within one host, and non-numeric values.
+        // The cursor fold in `from_hosts` must be bit-for-bit the
+        // name-indexed fold, including on rosters that defeat the fast
+        // path: down hosts, hosts with divergent metric sets, reordered
+        // metrics, duplicate metric names within one host, and
+        // non-numeric values — and one host at a time, which is how the
+        // contribution merge calls it.
         let mk = |name: &str, tn: u32, metrics: &[(&str, &str)]| {
             let mut xml = format!(
                 "<HOST NAME=\"{name}\" IP=\"1.1.1.1\" REPORTED=\"90\" TN=\"{tn}\" TMAX=\"20\" DMAX=\"0\">"
@@ -1000,13 +869,16 @@ mod tests {
             mk("e", 5, &[("load", "1.0"), ("load", "2.0")]), // dup name
             str_host,
         ];
-        let want = SummaryBody::from_hosts(hosts.iter());
-        let got = summarize_hosts(hosts.iter());
-        assert_eq!(got, want);
-        assert_eq!(got.metrics.len(), want.metrics.len());
-        for (g, w) in got.metrics.iter().zip(&want.metrics) {
-            assert_eq!(g.name, w.name, "slot order must match");
-            assert_eq!(g.sum.to_bits(), w.sum.to_bits(), "f64 bits must match");
+        let rosters = std::iter::once(&hosts[..]).chain(hosts.chunks(1));
+        for roster in rosters {
+            let want = name_indexed_fold(roster);
+            let got = SummaryBody::from_hosts(roster);
+            assert_eq!(got, want);
+            assert_eq!(got.metrics.len(), want.metrics.len());
+            for (g, w) in got.metrics.iter().zip(&want.metrics) {
+                assert_eq!(g.name, w.name, "slot order must match");
+                assert_eq!(g.sum.to_bits(), w.sum.to_bits(), "f64 bits must match");
+            }
         }
     }
 

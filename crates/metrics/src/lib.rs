@@ -14,9 +14,11 @@
 //!   user-defined key-value metrics;
 //! * [`model`] — the typed monitoring tree (`GRID` / `CLUSTER` / `HOST` /
 //!   `METRIC`, and the summary forms `HOSTS` / `METRICS`), including the
-//!   additive-reduction summaries of paper §3.2;
+//!   additive-reduction summaries of paper §3.2, all folded by one
+//!   summarizer ([`SummaryBody::from_hosts`]);
 //! * [`stream`] — the model parser ([`parse_document`]): an event-driven
-//!   machine over the pull parser with reusable scratch and no DOM;
+//!   machine over the pull parser with reusable scratch and no DOM, and
+//!   the one document walk, generic over a host hook;
 //! * [`codec`] — serialization of the model back to Ganglia XML;
 //! * [`atom`] — the intern table behind the model's [`atom::Atom`] name
 //!   fields: the same few hundred strings repeat across every host and
@@ -24,9 +26,10 @@
 //! * [`delta`] — signed diffs between summary contributions
 //!   ([`delta::SummaryDelta`]), the algebra behind the store's
 //!   incremental root-summary maintenance;
-//! * [`ingest`] — the delta-aware parse path: fingerprints each `<HOST>`
-//!   subtree and reuses the previous round's `Arc`'d nodes and summary
-//!   contributions when the bytes did not change.
+//! * [`ingest`] — the delta-aware parse path: runs the same walk with a
+//!   host hook that fingerprints each `<HOST>` subtree and reuses the
+//!   previous round's `Arc`'d nodes and summary contributions when the
+//!   bytes did not change.
 
 pub mod atom;
 pub mod codec;

@@ -7,7 +7,6 @@
 //! where each numeric metric is replaced by its `SUM` over a known set of
 //! `NUM` hosts, and liveness collapses to `UP`/`DOWN` counts.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::atom::Atom;
@@ -154,27 +153,38 @@ impl SummaryBody {
     /// Compute the summary of a set of hosts. Metrics from hosts that are
     /// down are excluded (their last-known values no longer describe the
     /// cluster), but the hosts themselves are counted in `DOWN`.
+    ///
+    /// Slots appear in first-seen order and each slot's f64 sum
+    /// accumulates in host order. Hosts in a cluster report the same
+    /// metric set in the same order, so each metric is first matched
+    /// against the slot after the previous hit — one interned-pointer
+    /// comparison — and only a host whose metric set diverges pays a
+    /// scan of the slots.
     pub fn from_hosts<'a>(hosts: impl IntoIterator<Item = &'a HostNode>) -> SummaryBody {
         let mut summary = SummaryBody::default();
-        let mut index: HashMap<&str, usize> = HashMap::new();
         for host in hosts {
             if !host.is_up() {
                 summary.hosts_down += 1;
                 continue;
             }
             summary.hosts_up += 1;
+            let mut cursor = 0usize;
             for metric in &host.metrics {
                 let Some(x) = metric.value.as_f64() else {
                     continue; // non-numeric metrics are not summarizable
                 };
-                match index.get(metric.name.as_str()) {
-                    Some(&slot) => {
+                let slot = match summary.metrics.get(cursor) {
+                    Some(entry) if entry.name == metric.name => Some(cursor),
+                    _ => summary.metrics.iter().position(|m| m.name == metric.name),
+                };
+                match slot {
+                    Some(slot) => {
                         let entry = &mut summary.metrics[slot];
                         entry.sum += x;
                         entry.num += 1;
+                        cursor = slot + 1;
                     }
                     None => {
-                        index.insert(metric.name.as_str(), summary.metrics.len());
                         summary.metrics.push(MetricSummary {
                             name: metric.name.clone(),
                             sum: x,
@@ -184,44 +194,9 @@ impl SummaryBody {
                             slope: metric.slope,
                             source: metric.source.clone(),
                         });
+                        cursor = summary.metrics.len();
                     }
                 }
-            }
-        }
-        // HashMap borrow of names ends here; drop before returning.
-        summary
-    }
-
-    /// [`SummaryBody::from_hosts`] specialized to a single host: the
-    /// identical result (same first-seen metric ordering, same addition
-    /// sequence) with a linear probe instead of a per-call `HashMap`.
-    /// This is how the streaming ingest computes a host's cached summary
-    /// contribution without allocating bookkeeping per host.
-    pub fn from_host(host: &HostNode) -> SummaryBody {
-        let mut summary = SummaryBody::default();
-        if !host.is_up() {
-            summary.hosts_down = 1;
-            return summary;
-        }
-        summary.hosts_up = 1;
-        for metric in &host.metrics {
-            let Some(x) = metric.value.as_f64() else {
-                continue; // non-numeric metrics are not summarizable
-            };
-            match summary.metrics.iter_mut().find(|m| m.name == metric.name) {
-                Some(entry) => {
-                    entry.sum += x;
-                    entry.num += 1;
-                }
-                None => summary.metrics.push(MetricSummary {
-                    name: metric.name.clone(),
-                    sum: x,
-                    num: 1,
-                    ty: metric.value.metric_type(),
-                    units: metric.units.clone(),
-                    slope: metric.slope,
-                    source: metric.source.clone(),
-                }),
             }
         }
         summary

@@ -8,11 +8,16 @@
 //! same way). The only allocations a parse performs are the ones the
 //! *result* needs (the nodes' own strings and vectors).
 //!
-//! [`parse_document`] is the one-shot entry point. The element helpers
-//! are shared with the delta-aware [`crate::ingest::Ingester`], which
-//! drives the same machine over a per-source scratch and re-parses only
-//! the `<HOST>` spans whose bytes changed — so both paths build nodes
-//! with the identical checks in the identical order.
+//! There is one walk over a document — root, grids, clusters, the
+//! summary-form tags and every structural check — generic over a small
+//! `Walk` hook that decides only how a `<HOST>` element becomes an
+//! `Arc<HostNode>` and what each cluster and grid rolls up beside its
+//! node. [`parse_document`] runs it with a hook that parses each host in
+//! place and rolls up nothing; the delta-aware
+//! [`crate::ingest::Ingester`] runs it with its host cache as the hook and
+//! `Arc`'d summaries as the rollups, summarizing each report in the same
+//! pass that parses it (paper §3.2, §3.3.1). Both build nodes with the
+//! identical checks in the identical order.
 //!
 //! Scratch ownership rule (see also [`AttrScratch`]): spans handed out
 //! for one event die at the next `next_event_into` call. Every helper
@@ -51,18 +56,18 @@ pub(crate) fn required<'s>(
     })
 }
 
-pub(crate) fn optional_string(input: &str, scratch: &AttrScratch, name: &str) -> String {
+fn optional_string(input: &str, scratch: &AttrScratch, name: &str) -> String {
     scratch.get(input, name).unwrap_or("").to_string()
 }
 
-pub(crate) fn optional_atom(input: &str, scratch: &AttrScratch, name: &str) -> Atom {
+fn optional_atom(input: &str, scratch: &AttrScratch, name: &str) -> Atom {
     match scratch.get(input, name) {
         Some(value) => Atom::new(value),
         None => Atom::empty(),
     }
 }
 
-pub(crate) fn parse_num<T: std::str::FromStr>(
+fn parse_num<T: std::str::FromStr>(
     input: &str,
     scratch: &AttrScratch,
     element: &'static str,
@@ -79,7 +84,7 @@ pub(crate) fn parse_num<T: std::str::FromStr>(
     }
 }
 
-pub(crate) fn parse_opt_num<T: std::str::FromStr>(
+fn parse_opt_num<T: std::str::FromStr>(
     input: &str,
     scratch: &AttrScratch,
     element: &'static str,
@@ -101,13 +106,13 @@ pub(crate) fn parse_opt_num<T: std::str::FromStr>(
 
 /// Header attributes of a `GRID` start tag, copied out of the scratch
 /// before the parser advances past it.
-pub(crate) struct GridHeader {
-    pub name: String,
-    pub authority: String,
-    pub localtime: Option<u64>,
+struct GridHeader {
+    name: String,
+    authority: String,
+    localtime: Option<u64>,
 }
 
-pub(crate) fn grid_header(input: &str, scratch: &AttrScratch) -> Result<GridHeader> {
+fn grid_header(input: &str, scratch: &AttrScratch) -> Result<GridHeader> {
     Ok(GridHeader {
         name: required(input, scratch, names::GRID, attr::NAME)?.to_string(),
         authority: optional_string(input, scratch, attr::AUTHORITY),
@@ -116,15 +121,15 @@ pub(crate) fn grid_header(input: &str, scratch: &AttrScratch) -> Result<GridHead
 }
 
 /// Header attributes of a `CLUSTER` start tag.
-pub(crate) struct ClusterHeader {
-    pub name: String,
-    pub owner: String,
-    pub latlong: String,
-    pub url: String,
-    pub localtime: Option<u64>,
+struct ClusterHeader {
+    name: String,
+    owner: String,
+    latlong: String,
+    url: String,
+    localtime: Option<u64>,
 }
 
-pub(crate) fn cluster_header(input: &str, scratch: &AttrScratch) -> Result<ClusterHeader> {
+fn cluster_header(input: &str, scratch: &AttrScratch) -> Result<ClusterHeader> {
     Ok(ClusterHeader {
         name: required(input, scratch, names::CLUSTER, attr::NAME)?.to_string(),
         owner: optional_string(input, scratch, attr::OWNER),
@@ -135,7 +140,7 @@ pub(crate) fn cluster_header(input: &str, scratch: &AttrScratch) -> Result<Clust
 }
 
 /// Parse one `METRIC` start tag's attributes from the scratch.
-pub(crate) fn parse_metric(input: &str, scratch: &AttrScratch) -> Result<MetricEntry> {
+fn parse_metric(input: &str, scratch: &AttrScratch) -> Result<MetricEntry> {
     let name = Atom::new(required(input, scratch, names::METRIC, attr::NAME)?);
     let ty_raw = required(input, scratch, names::METRIC, attr::TYPE)?;
     let ty: MetricType = ty_raw.parse().map_err(|_| ParseError::BadAttr {
@@ -170,7 +175,7 @@ pub(crate) fn parse_metric(input: &str, scratch: &AttrScratch) -> Result<MetricE
 }
 
 /// Parse one `METRICS` summary tag's attributes from the scratch.
-pub(crate) fn parse_metric_summary(input: &str, scratch: &AttrScratch) -> Result<MetricSummary> {
+fn parse_metric_summary(input: &str, scratch: &AttrScratch) -> Result<MetricSummary> {
     let name = Atom::new(required(input, scratch, names::METRICS, attr::NAME)?);
     let ty = match scratch.get(input, attr::TYPE) {
         None => MetricType::Double,
@@ -245,8 +250,9 @@ pub(crate) fn parse_host(
 }
 
 /// Parse one `<HOST>...</HOST>` byte span through the streaming machine.
-/// This is the Ingester's span-miss path: full well-formedness checks
-/// apply, but the only allocations are the node's own.
+/// This is the Ingester's skip-mode span-miss path: full well-formedness
+/// checks apply, but the only allocations are the node's own. Offsets in
+/// its errors count from the span's start.
 pub(crate) fn parse_host_span(
     span: &str,
     scratch: &mut AttrScratch,
@@ -264,86 +270,177 @@ pub(crate) fn parse_host_span(
     }
 }
 
-fn parse_grid(
+/// How the walk turns the parts of a document into results: the one
+/// place where [`parse_document`] and the [`crate::ingest::Ingester`]
+/// differ. The walk owns the element loops, the tag dispatch, the
+/// summary-form tags and every structural check; a hook decides only
+/// how a `<HOST>` element becomes an `Arc<HostNode>` and what each
+/// cluster and grid rolls up beside its node.
+pub(crate) trait Walk {
+    /// Per-cluster state, live from the `CLUSTER` start tag to its end.
+    type Cluster<'a>
+    where
+        Self: 'a;
+    /// What a cluster or grid rolls up to beside its node.
+    type Summary;
+
+    fn enter_grid(&mut self, name: &str);
+    fn leave_grid(&mut self, name: &str);
+    fn cluster(&mut self, name: &str) -> Self::Cluster<'_>;
+    /// Capacity to reserve for the cluster's host vector.
+    fn hosts_hint(_cluster: &Self::Cluster<'_>) -> usize {
+        0
+    }
+    /// Build the host whose `HOST` start event was just returned (its
+    /// attributes are still in the scratch), leaving the parser after
+    /// its end tag.
+    fn host(
+        cluster: &mut Self::Cluster<'_>,
+        parser: &mut PullParser<'_>,
+        input: &str,
+        scratch: &mut AttrScratch,
+    ) -> Result<Arc<HostNode>>;
+    /// Roll up a full-detail cluster's hosts.
+    fn hosts(cluster: Self::Cluster<'_>, hosts: &[Arc<HostNode>]) -> Self::Summary;
+    /// Roll up a cluster or grid reported in summary form.
+    fn summary(&mut self, body: &SummaryBody) -> Self::Summary;
+    /// Roll up an expanded grid's children, in document order.
+    fn merge(&mut self, items: Vec<Self::Summary>) -> Self::Summary;
+}
+
+/// The one-shot hook behind [`parse_document`]: hosts are parsed in
+/// place and nothing is rolled up.
+struct OneShot;
+
+impl Walk for OneShot {
+    type Cluster<'a> = ();
+    type Summary = ();
+
+    fn enter_grid(&mut self, _name: &str) {}
+    fn leave_grid(&mut self, _name: &str) {}
+    fn cluster(&mut self, _name: &str) {}
+    fn host(
+        _cluster: &mut (),
+        parser: &mut PullParser<'_>,
+        input: &str,
+        scratch: &mut AttrScratch,
+    ) -> Result<Arc<HostNode>> {
+        parse_host(parser, input, scratch, 0).map(Arc::new)
+    }
+    fn hosts(_cluster: (), _hosts: &[Arc<HostNode>]) {}
+    fn summary(&mut self, _body: &SummaryBody) {}
+    fn merge(&mut self, _items: Vec<()>) {}
+}
+
+/// Fold one `HOSTS` or `METRICS` summary-form tag into `summary`.
+fn summary_tag(
+    tag: &str,
     parser: &mut PullParser<'_>,
     input: &str,
     scratch: &mut AttrScratch,
-    header: GridHeader,
-) -> Result<GridNode> {
-    let mut items: Vec<GridItem> = Vec::new();
-    let mut summary: Option<SummaryBody> = None;
+    summary: &mut Option<SummaryBody>,
+) -> Result<()> {
+    let body = summary.get_or_insert_with(SummaryBody::default);
+    if tag == names::HOSTS {
+        body.hosts_up = parse_num(input, scratch, names::HOSTS, attr::UP, 0u32)?;
+        body.hosts_down = parse_num(input, scratch, names::HOSTS, attr::DOWN, 0u32)?;
+    } else {
+        body.metrics.push(parse_metric_summary(input, scratch)?);
+    }
+    parser.skip_subtree_into(scratch)?;
+    Ok(())
+}
+
+/// The grids and clusters under the root or a `GRID`, with their
+/// rollups, plus — under a grid only — its own summary-form tags.
+type Items<S> = (Vec<GridItem>, Vec<S>, Option<SummaryBody>);
+
+fn walk_children<W: Walk>(
+    parser: &mut PullParser<'_>,
+    input: &str,
+    scratch: &mut AttrScratch,
+    walk: &mut W,
+    parent: &'static str,
+) -> Result<Items<W::Summary>> {
+    let mut items = Vec::new();
+    let mut rollups = Vec::new();
+    let mut summary = None;
     loop {
         match parser.next_event_into(scratch)? {
             Some(StreamEvent::Start { name: tag, .. }) => match tag {
                 names::GRID => {
-                    let hdr = grid_header(input, scratch)?;
-                    items.push(GridItem::Grid(parse_grid(parser, input, scratch, hdr)?));
+                    let (grid, rollup) = walk_grid(parser, input, scratch, walk)?;
+                    items.push(GridItem::Grid(grid));
+                    rollups.push(rollup);
                 }
                 names::CLUSTER => {
-                    let hdr = cluster_header(input, scratch)?;
-                    items.push(GridItem::Cluster(parse_cluster(
-                        parser, input, scratch, hdr,
-                    )?));
+                    let (cluster, rollup) = walk_cluster(parser, input, scratch, walk)?;
+                    items.push(GridItem::Cluster(cluster));
+                    rollups.push(rollup);
                 }
-                names::HOSTS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.hosts_up = parse_num(input, scratch, names::HOSTS, attr::UP, 0u32)?;
-                    body.hosts_down = parse_num(input, scratch, names::HOSTS, attr::DOWN, 0u32)?;
-                    parser.skip_subtree_into(scratch)?;
-                }
-                names::METRICS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.metrics.push(parse_metric_summary(input, scratch)?);
-                    parser.skip_subtree_into(scratch)?;
+                names::HOSTS | names::METRICS if parent == names::GRID => {
+                    summary_tag(tag, parser, input, scratch, &mut summary)?
                 }
                 other => {
                     return Err(ParseError::UnexpectedTag {
-                        parent: names::GRID.into(),
+                        parent: parent.into(),
                         tag: other.to_string(),
                     })
                 }
             },
-            Some(StreamEvent::End { .. }) => break,
+            Some(StreamEvent::End { .. }) | None => break,
             Some(_) => continue,
-            None => break,
         }
     }
-    let body = match summary {
-        Some(s) if items.is_empty() => GridBody::Summary(s),
-        // A grid reporting both nested items and its own rolled-up summary
-        // keeps the expanded form; summaries are recomputable.
-        Some(_) | None => GridBody::Items(items),
-    };
-    Ok(GridNode {
-        name: header.name,
-        authority: header.authority,
-        localtime: header.localtime,
-        body,
-    })
+    Ok((items, rollups, summary))
 }
 
-fn parse_cluster(
+fn walk_grid<W: Walk>(
     parser: &mut PullParser<'_>,
     input: &str,
     scratch: &mut AttrScratch,
-    header: ClusterHeader,
-) -> Result<ClusterNode> {
-    let mut hosts: Vec<Arc<HostNode>> = Vec::new();
-    let mut summary: Option<SummaryBody> = None;
+    walk: &mut W,
+) -> Result<(GridNode, W::Summary)> {
+    let header = grid_header(input, scratch)?;
+    walk.enter_grid(&header.name);
+    let (items, rollups, summary) = walk_children(parser, input, scratch, walk, names::GRID)?;
+    walk.leave_grid(&header.name);
+    let (body, rollup) = match summary {
+        Some(s) if items.is_empty() => {
+            let rollup = walk.summary(&s);
+            (GridBody::Summary(s), rollup)
+        }
+        // A grid reporting both nested items and its own rolled-up summary
+        // keeps the expanded form; summaries are recomputable.
+        Some(_) | None => (GridBody::Items(items), walk.merge(rollups)),
+    };
+    Ok((
+        GridNode {
+            name: header.name,
+            authority: header.authority,
+            localtime: header.localtime,
+            body,
+        },
+        rollup,
+    ))
+}
+
+fn walk_cluster<W: Walk>(
+    parser: &mut PullParser<'_>,
+    input: &str,
+    scratch: &mut AttrScratch,
+    walk: &mut W,
+) -> Result<(ClusterNode, W::Summary)> {
+    let header = cluster_header(input, scratch)?;
+    let mut cluster = walk.cluster(&header.name);
+    let mut hosts = Vec::with_capacity(W::hosts_hint(&cluster));
+    let mut summary = None;
     loop {
         match parser.next_event_into(scratch)? {
             Some(StreamEvent::Start { name: tag, .. }) => match tag {
-                names::HOST => hosts.push(Arc::new(parse_host(parser, input, scratch, 0)?)),
-                names::HOSTS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.hosts_up = parse_num(input, scratch, names::HOSTS, attr::UP, 0u32)?;
-                    body.hosts_down = parse_num(input, scratch, names::HOSTS, attr::DOWN, 0u32)?;
-                    parser.skip_subtree_into(scratch)?;
-                }
-                names::METRICS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.metrics.push(parse_metric_summary(input, scratch)?);
-                    parser.skip_subtree_into(scratch)?;
+                names::HOST => hosts.push(W::host(&mut cluster, parser, input, scratch)?),
+                names::HOSTS | names::METRICS => {
+                    summary_tag(tag, parser, input, scratch, &mut summary)?
                 }
                 other => {
                     return Err(ParseError::UnexpectedTag {
@@ -352,33 +449,43 @@ fn parse_cluster(
                     })
                 }
             },
-            Some(StreamEvent::End { .. }) => break,
+            Some(StreamEvent::End { .. }) | None => break,
             Some(_) => continue,
-            None => break,
         }
     }
-    let body = match (hosts.is_empty(), summary) {
-        (false, None) => ClusterBody::Hosts(hosts),
-        (true, Some(s)) => ClusterBody::Summary(s),
-        (true, None) => ClusterBody::Hosts(Vec::new()),
+    let (body, rollup) = match (hosts.is_empty(), summary) {
         (false, Some(_)) => return Err(ParseError::MixedClusterBody(header.name)),
+        (true, Some(s)) => {
+            drop(cluster);
+            let rollup = walk.summary(&s);
+            (ClusterBody::Summary(s), rollup)
+        }
+        (_, None) => {
+            let rollup = W::hosts(cluster, &hosts);
+            (ClusterBody::Hosts(hosts), rollup)
+        }
     };
-    Ok(ClusterNode {
-        name: header.name,
-        owner: header.owner,
-        latlong: header.latlong,
-        url: header.url,
-        localtime: header.localtime,
-        body,
-    })
+    Ok((
+        ClusterNode {
+            name: header.name,
+            owner: header.owner,
+            latlong: header.latlong,
+            url: header.url,
+            localtime: header.localtime,
+            body,
+        },
+        rollup,
+    ))
 }
 
-/// Parse a complete Ganglia XML report into the typed model.
-///
-/// The model parser stops at the root's closing tag: anything after it
-/// is never read.
-pub fn parse_document(input: &str) -> Result<GangliaDoc> {
-    let scratch = &mut AttrScratch::new();
+/// Walk a complete report with `walk` deciding hosts and rollups. The
+/// document's rollup is its single top-level item's, or the merge of
+/// all items in order (what a synthetic wrapping grid would compute).
+pub(crate) fn walk_document<W: Walk>(
+    input: &str,
+    scratch: &mut AttrScratch,
+    walk: &mut W,
+) -> Result<(GangliaDoc, W::Summary)> {
     let mut parser = PullParser::new(input);
     // Skip the prolog (declaration, DOCTYPE, comments) to the root
     // element; the parser itself rejects text or a close tag here.
@@ -393,45 +500,30 @@ pub fn parse_document(input: &str) -> Result<GangliaDoc> {
         return Err(ParseError::BadRoot(root_name.to_string()));
     }
     // The root's attributes are still live in the scratch here.
-    let mut doc = GangliaDoc {
-        version: optional_string(input, scratch, attr::VERSION),
-        source: optional_string(input, scratch, attr::SOURCE),
-        items: Vec::new(),
+    let version = optional_string(input, scratch, attr::VERSION);
+    let source = optional_string(input, scratch, attr::SOURCE);
+    let (items, mut rollups, _) =
+        walk_children(&mut parser, input, scratch, walk, names::GANGLIA_XML)?;
+    let rollup = match rollups.len() {
+        1 => rollups.pop().expect("len checked"),
+        _ => walk.merge(rollups),
     };
-    loop {
-        match parser.next_event_into(scratch)? {
-            Some(StreamEvent::Start { name, .. }) => match name {
-                names::GRID => {
-                    let hdr = grid_header(input, scratch)?;
-                    doc.items.push(GridItem::Grid(parse_grid(
-                        &mut parser,
-                        input,
-                        scratch,
-                        hdr,
-                    )?));
-                }
-                names::CLUSTER => {
-                    let hdr = cluster_header(input, scratch)?;
-                    doc.items.push(GridItem::Cluster(parse_cluster(
-                        &mut parser,
-                        input,
-                        scratch,
-                        hdr,
-                    )?));
-                }
-                other => {
-                    return Err(ParseError::UnexpectedTag {
-                        parent: names::GANGLIA_XML.into(),
-                        tag: other.to_string(),
-                    })
-                }
-            },
-            Some(StreamEvent::End { .. }) => break,
-            Some(_) => continue,
-            None => break,
-        }
-    }
-    Ok(doc)
+    Ok((
+        GangliaDoc {
+            version,
+            source,
+            items,
+        },
+        rollup,
+    ))
+}
+
+/// Parse a complete Ganglia XML report into the typed model.
+///
+/// The model parser stops at the root's closing tag: anything after it
+/// is never read.
+pub fn parse_document(input: &str) -> Result<GangliaDoc> {
+    walk_document(input, &mut AttrScratch::new(), &mut OneShot).map(|(doc, ())| doc)
 }
 
 #[cfg(test)]

@@ -19,14 +19,16 @@
 //! * the parser stops at the root's close tag, so a tail after it never
 //!   changes the outcome;
 //! * rewriting characters as numeric references changes nothing but the
-//!   byte offsets of XML errors.
+//!   byte offsets of XML errors;
+//! * a warm delta-aware `Ingester` gives `parse_document`'s answer on
+//!   every prefix of every document, error offsets included.
 
 use std::sync::Arc;
 
 use ganglia_metrics::{
     parse_document, write_document, Atom, ClusterBody, ClusterNode, GangliaDoc, GridBody, GridItem,
-    GridNode, HostNode, MetricEntry, MetricSummary, MetricType, MetricValue, ParseError, Slope,
-    SummaryBody,
+    GridNode, HostNode, Ingester, MetricEntry, MetricSummary, MetricType, MetricValue, ParseError,
+    Slope, SummaryBody,
 };
 use ganglia_xml::error::XmlErrorKind;
 use ganglia_xml::XmlError;
@@ -235,6 +237,15 @@ struct Case {
 }
 
 impl Doc {
+    /// The same document with every metric intact.
+    fn well_formed(&self) -> Doc {
+        let mut doc = self.clone();
+        for m in doc.hosts.iter_mut().flat_map(|h| &mut h.metrics) {
+            m.mutation = AttrMutation::Intact;
+        }
+        doc
+    }
+
     fn case(&self) -> Case {
         let mut xml = String::from("<GANGLIA_XML VERSION=\"2.5.4\" SOURCE=\"gmond\">");
         if self.grid {
@@ -416,6 +427,27 @@ proptest! {
         if let Ok(doc) = parse_document(&junk) {
             prop_assert!(junk.contains("<GANGLIA_XML"), "accepted {:?}", junk);
             assert_fixpoint(&doc);
+        }
+    }
+
+    /// A warm `Ingester` answers exactly what `parse_document` answers,
+    /// offsets included, on the document and on every prefix of it. The
+    /// two warm-up rounds of the well-formed version have equal host
+    /// bytes and different document bytes, so the second rebuilds
+    /// nothing and the cluster is in skip mode when the case arrives.
+    #[test]
+    fn warm_ingester_answers_like_parse_document(d in doc()) {
+        let case = d.case();
+        let well_formed = d.well_formed().case().xml;
+        let mut ingester = Ingester::new();
+        for round in [well_formed.clone(), well_formed.replacen("LOCALTIME=\"10\"", "LOCALTIME=\"11\"", 1)] {
+            let warm = ingester.ingest(&round).expect("well-formed rounds ingest");
+            prop_assert_eq!(warm.doc, parse_document(&round).expect("well-formed rounds parse"));
+        }
+        for cut in (0..=case.xml.len()).filter(|&i| case.xml.is_char_boundary(i)) {
+            let input = &case.xml[..cut];
+            let got = ingester.ingest(input).map(|ingested| ingested.doc);
+            prop_assert_eq!(got, parse_document(input), "cut at byte {}", cut);
         }
     }
 

@@ -70,9 +70,13 @@ pub struct IngestRow {
     pub baseline_elapsed: Duration,
     /// Delta-aware: [`Ingester::ingest`] per round.
     pub delta_elapsed: Duration,
-    /// Host reuse across the delta pass (excludes the cold round).
+    /// Host reuse across the delta pass; the cold round's hosts count as
+    /// rebuilt.
     pub hosts_reused: u64,
     pub hosts_rebuilt: u64,
+    /// The hosts a working cache must rebuild, counted from the corpus
+    /// bytes alone ([`changed_hosts`]).
+    pub hosts_changed: u64,
     /// Rounds answered entirely from the whole-document fingerprint.
     pub docs_reused: u64,
     /// Every round rendered byte-identically across the two paths.
@@ -172,6 +176,24 @@ pub fn churn_corpus(params: &IngestParams, churn: f64, seed: u64) -> Vec<String>
         .collect()
 }
 
+/// The cold round's hosts plus, for each warm round, the hosts whose
+/// bytes differ from the previous round's: what an exact host cache
+/// rebuilds over `corpus` (whose rounds keep one roster in one order).
+/// Counted by comparing `<HOST` spans position by position, with no
+/// parsing.
+pub fn changed_hosts(corpus: &[String]) -> u64 {
+    let Some(first) = corpus.first() else {
+        return 0;
+    };
+    let mut changed = first.matches("<HOST ").count() as u64;
+    for pair in corpus.windows(2) {
+        let prev = pair[0].split("<HOST ").skip(1);
+        let next = pair[1].split("<HOST ").skip(1);
+        changed += prev.zip(next).filter(|(a, b)| a != b).count() as u64;
+    }
+    changed
+}
+
 /// Rebuild-every-round pass: what the poller did before the delta path
 /// — parse the full document and recompute the cluster summary. Returns
 /// a checksum so the optimizer cannot elide the work.
@@ -261,6 +283,7 @@ pub fn run_ingest_churn(params: &IngestParams, churns: &[f64]) -> IngestResult {
                 delta_elapsed,
                 hosts_reused: totals.hosts_reused,
                 hosts_rebuilt: totals.hosts_rebuilt,
+                hosts_changed: changed_hosts(&corpus),
                 docs_reused: totals.docs_reused,
                 byte_identical: byte_identical(&corpus),
             }
@@ -315,5 +338,10 @@ mod tests {
         assert_eq!(full.docs_reused, 0);
         // Full churn still reuses nothing between rounds.
         assert_eq!(full.hosts_rebuilt, (small().hosts * small().rounds) as u64);
+        // The cache rebuilds exactly the hosts whose bytes changed.
+        for row in &result.rows {
+            assert_eq!(row.hosts_rebuilt, row.hosts_changed, "churn {}", row.churn);
+        }
+        assert_eq!(result.rows[1].hosts_changed, 12 + 5 * 6);
     }
 }

@@ -1,14 +1,15 @@
-//! Alarms driven by live monitoring data: the engine watches the sdsc
-//! gmeta's meta view across poll rounds and pages on real transitions.
+//! Alarms driven by live monitoring data: the GQL alarm feed watches the
+//! sdsc gmeta's meta view across poll rounds and pages on real
+//! transitions.
 
-use ganglia::alarm::{AlarmEngine, AlarmKind, Comparison, Matcher, MemorySink, Rule, Signal};
+use ganglia::alarm::{AlarmFeed, AlarmKind, Comparison, Matcher, MemorySink, Rule, Signal};
 use ganglia::metrics::parse_document;
 use ganglia::sim::{fig2_tree, Deployment, DeploymentParams};
 
-fn evaluate(deployment: &Deployment, engine: &mut AlarmEngine, sink: &MemorySink) -> usize {
+fn evaluate(deployment: &Deployment, feed: &mut AlarmFeed, sink: &MemorySink) -> usize {
     let xml = deployment.monitor("sdsc").query("/?filter=summary");
     let doc = parse_document(&xml).expect("well-formed");
-    engine.evaluate(&doc, deployment.now(), sink).len()
+    feed.evaluate_doc(&doc, deployment.now(), sink).len()
 }
 
 #[test]
@@ -16,7 +17,7 @@ fn stale_summaries_keep_alarms_quiet_but_host_loss_pages() {
     let mut deployment = Deployment::build(fig2_tree(6), DeploymentParams::default());
     deployment.run_rounds(1);
 
-    let mut engine = AlarmEngine::new(vec![Rule::summary(
+    let mut feed = AlarmFeed::new(vec![Rule::summary(
         "hosts-down",
         Matcher::Any,
         Signal::HostsDown,
@@ -25,18 +26,18 @@ fn stale_summaries_keep_alarms_quiet_but_host_loss_pages() {
     let sink = MemorySink::new();
 
     // Healthy tree: no alarms.
-    assert_eq!(evaluate(&deployment, &mut engine, &sink), 0);
-    assert!(engine.firing().is_empty());
+    assert_eq!(evaluate(&deployment, &mut feed, &sink), 0);
+    assert!(feed.engine().firing().is_empty());
 
     // A partition makes the source stale but does NOT invent down hosts:
     // the last-good summary still reports everyone up.
     deployment.partition_cluster("sdsc-c0", true);
     deployment.run_rounds(2);
-    assert_eq!(evaluate(&deployment, &mut engine, &sink), 0);
+    assert_eq!(evaluate(&deployment, &mut feed, &sink), 0);
 
     deployment.partition_cluster("sdsc-c0", false);
     deployment.run_rounds(1);
-    assert_eq!(evaluate(&deployment, &mut engine, &sink), 0);
+    assert_eq!(evaluate(&deployment, &mut feed, &sink), 0);
     assert!(sink.events().is_empty());
 }
 
@@ -47,14 +48,14 @@ fn load_alarm_fires_on_injected_hot_cluster_and_clears() {
     // walks, so a genuine overload cannot be forced deterministically).
     let mut deployment = Deployment::build(fig2_tree(4), DeploymentParams::default());
     deployment.run_rounds(1);
-    let mut engine = AlarmEngine::new(vec![Rule::summary(
+    let mut feed = AlarmFeed::new(vec![Rule::summary(
         "load-high",
         Matcher::Exact("sdsc-c0".into()),
         Signal::Metric("load_one".into()),
         Comparison::Above(8.5), // live walks are bounded by 8.0
     )]);
     let sink = MemorySink::new();
-    assert_eq!(evaluate(&deployment, &mut engine, &sink), 0);
+    assert_eq!(evaluate(&deployment, &mut feed, &sink), 0);
 
     let hot = r#"<GANGLIA_XML VERSION="2.5.4" SOURCE="gmetad">
       <GRID NAME="sdsc" AUTHORITY="http://sdsc/" LOCALTIME="60">
@@ -63,18 +64,18 @@ fn load_alarm_fires_on_injected_hot_cluster_and_clears() {
           <METRICS NAME="load_one" SUM="60.0" NUM="4" TYPE="float"/>
         </CLUSTER>
       </GRID></GANGLIA_XML>"#;
-    let events = engine.evaluate(&parse_document(hot).unwrap(), 60, &sink);
+    let events = feed.evaluate_doc(&parse_document(hot).unwrap(), 60, &sink);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].kind, AlarmKind::Raised);
     assert_eq!(
-        engine.firing(),
+        feed.engine().firing(),
         vec![("load-high".into(), "sdsc-c0".into())]
     );
 
     // Back to live (calm) data: the alarm clears.
     deployment.run_rounds(1);
-    assert_eq!(evaluate(&deployment, &mut engine, &sink), 1);
-    assert!(engine.firing().is_empty());
+    assert_eq!(evaluate(&deployment, &mut feed, &sink), 1);
+    assert!(feed.engine().firing().is_empty());
     let kinds: Vec<AlarmKind> = sink.events().iter().map(|e| e.kind).collect();
     assert_eq!(kinds, vec![AlarmKind::Raised, AlarmKind::Cleared]);
 }
