@@ -147,14 +147,20 @@ fn main() -> ExitCode {
             }
         }
         dump_stats(&daemon);
-        if daemon.archive_journal_enabled() {
-            // Leave a clean checkpoint behind rather than a journal to
-            // replay on the next start.
-            let _ = daemon.checkpoint_archives(now);
+        // Leave a clean checkpoint behind rather than a journal to
+        // replay on the next start.
+        let persisted = if daemon.archive_journal_enabled() {
+            daemon
+                .checkpoint_archives(now)
+                .map_err(|e| ("checkpoint", e))
         } else {
-            let _ = daemon.flush_archives();
-        }
+            daemon.flush_archives().map_err(|e| ("flush", e))
+        };
         println!("{}", daemon.query("/?filter=summary"));
+        if let Err((what, e)) = persisted {
+            eprintln!("gmetad: archive {what} failed: {e}");
+            return ExitCode::FAILURE;
+        }
         return ExitCode::SUCCESS;
     }
 

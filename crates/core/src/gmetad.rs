@@ -950,7 +950,11 @@ impl Gmetad {
     /// and truncate the journals. Returns the files written.
     pub fn checkpoint_archives(&self, now: u64) -> Result<usize, ganglia_rrd::RrdError> {
         let checkpoint_start = Instant::now();
-        let files = self.archives.checkpoint(now)?;
+        let files = self.archives.checkpoint(now).inspect_err(|_| {
+            self.registry
+                .counter("archive.checkpoint_errors_total")
+                .inc()
+        })?;
         self.registry.counter("archive.checkpoints_total").inc();
         self.registry
             .counter("archive.checkpoint_files_total")
@@ -1375,5 +1379,35 @@ mod tests {
             raw.contains("\"outcome\":\"failed\""),
             "failed poll missing from trace: {raw}"
         );
+    }
+
+    #[test]
+    fn failed_checkpoint_is_counted_and_keeps_the_journal() {
+        let net = SimNet::new(1);
+        let served = ServedPseudoCluster::serve(&net, PseudoGmond::new("meteor", 8, 42, 0), 1);
+        let root = std::env::temp_dir().join(format!("gmetad-cp-err-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        // The source's archive directory is a regular file, so every
+        // checkpoint write under it fails with NotADirectory.
+        std::fs::write(root.join("meteor"), b"not a directory").unwrap();
+        let mut config = GmetadConfig::new("sdsc")
+            .with_source(DataSourceCfg::new("meteor", served.addrs().to_vec()).unwrap());
+        config.archive = ArchiveMode::Directory(root.clone());
+        config.archive_journal = true;
+        config.archive_checkpoint_secs = 0;
+        let gmetad = Gmetad::new(config);
+
+        let results = gmetad.poll_all(&net, 15);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        let snap = gmetad.telemetry_snapshot();
+        assert_eq!(snap.counter("archive.checkpoint_errors_total"), Some(1));
+        assert_eq!(snap.counter("archive.checkpoints_total"), None);
+        // The round's journal records are still the only durable copy of
+        // its updates, so they were not truncated: a truncated journal
+        // holds only its ~20-byte header, one round here journals KBs.
+        let journal = gmetad.archive_journal_stats("meteor").unwrap();
+        assert!(journal.stats.durable_bytes > 1024, "{journal:?}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -32,8 +32,8 @@
 //! The worst case is deliberately bounded: a 100%-churn round does the
 //! same model-node construction a plain `parse_document` does, plus one
 //! span fingerprint per host — no per-event allocation, no per-host
-//! summary bookkeeping. `repro_ingest --smoke` gates this (speedup ≥
-//! 1.0x at 100% churn) alongside the 0%-churn fast path.
+//! summary bookkeeping. `repro ingest` gates this (speedup ≥ 1.0x at
+//! 100% churn) alongside the 0%-churn fast path.
 //!
 //! The invariant the rest of the system depends on: an [`Ingester`]
 //! produces exactly the document and summary a fresh

@@ -278,8 +278,8 @@ impl RrdSet {
     /// Write every database to the persistence root, if one is set.
     /// Returns the number of files written.
     ///
-    /// This is the legacy rewrite-everything path (and the baseline the
-    /// `repro_archive` bench measures against); journaled sets persist
+    /// This is the legacy rewrite-everything path (and the baseline
+    /// `repro archive` measures against); journaled sets persist
     /// through [`RrdSet::commit_journal`] + [`RrdSet::checkpoint`]
     /// instead.
     pub fn flush(&self) -> Result<usize, RrdError> {

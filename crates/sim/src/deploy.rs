@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ganglia_core::telemetry::Snapshot;
 use ganglia_core::{ArchiveMode, DataSourceCfg, Gmetad, GmetadConfig, TreeMode};
 use ganglia_gmond::pseudo::ServedPseudoCluster;
 use ganglia_gmond::PseudoGmond;
@@ -75,6 +76,21 @@ impl DeploymentParams {
         self.poll_concurrency = workers;
         self
     }
+}
+
+/// One monitor's cost over a measurement window: timed CPU% next to
+/// counted work. The counts depend only on the topology and the seed,
+/// never on how loaded the machine running the experiment is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonitorWindow {
+    pub monitor: String,
+    pub cpu_pct: f64,
+    /// RRD updates archived in the window ([`Gmetad::archive_updates`]).
+    pub rrd_updates: u64,
+    /// Report bytes fetched from sources in the window (`bytes_in_total`).
+    pub bytes_fetched: u64,
+    /// Every instrument, zeroed at the start of the window.
+    pub telemetry: Snapshot,
 }
 
 /// A running monitoring tree.
@@ -268,11 +284,42 @@ impl Deployment {
 
     /// Telemetry snapshot of every monitor, rows in breadth-first tree
     /// order (matching [`Self::cpu_report`]).
-    pub fn telemetry_report(&self) -> Vec<(String, ganglia_core::telemetry::Snapshot)> {
+    pub fn telemetry_report(&self) -> Vec<(String, Snapshot)> {
         self.tree
             .breadth_first()
             .iter()
             .map(|name| (name.clone(), self.monitors[name].telemetry_snapshot()))
+            .collect()
+    }
+
+    /// Run `warmup` unmeasured rounds, then `measured` rounds, and
+    /// report every monitor's window in breadth-first tree order
+    /// (matching [`Self::cpu_report`]).
+    pub fn measure_window(&mut self, warmup: u64, measured: u64) -> Vec<MonitorWindow> {
+        self.run_rounds(warmup);
+        self.reset_meters();
+        let order = self.tree.breadth_first();
+        let before: Vec<u64> = order
+            .iter()
+            .map(|name| self.monitors[name].archive_updates())
+            .collect();
+        self.run_rounds(measured);
+        let cpu = self.cpu_report();
+        order
+            .iter()
+            .zip(before)
+            .zip(cpu.rows)
+            .map(|((name, before), cpu)| {
+                let monitor = &self.monitors[name];
+                let telemetry = monitor.telemetry_snapshot();
+                MonitorWindow {
+                    monitor: name.clone(),
+                    cpu_pct: cpu.percent,
+                    rrd_updates: monitor.archive_updates() - before,
+                    bytes_fetched: telemetry.counter("bytes_in_total").unwrap_or(0),
+                    telemetry,
+                }
+            })
             .collect()
     }
 
@@ -358,70 +405,10 @@ fn stable_hash(s: &str) -> u64 {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::topology::fig2_tree;
     use ganglia_core::SourceStatus;
-
-    /// Work one monitor did over a measurement window, counted rather
-    /// than timed: both numbers depend only on the topology and the
-    /// seed, never on how loaded the machine running the test is.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub(crate) struct Work {
-        /// RRD updates archived ([`Gmetad::archive_updates`]).
-        pub archive_updates: u64,
-        /// Report bytes fetched from sources (`bytes_in_total`).
-        pub bytes_in: u64,
-    }
-
-    impl std::iter::Sum for Work {
-        fn sum<I: Iterator<Item = Work>>(iter: I) -> Work {
-            iter.fold(Work::default(), |a, b| Work {
-                archive_updates: a.archive_updates + b.archive_updates,
-                bytes_in: a.bytes_in + b.bytes_in,
-            })
-        }
-    }
-
-    /// Run a deployment through `warmup` unmeasured rounds and then
-    /// `measured` rounds, and count each monitor's work over the
-    /// measured window (monitor name → work).
-    pub(crate) fn counted_work(
-        tree: TreeSpec,
-        mode: TreeMode,
-        seed: u64,
-        warmup: u64,
-        measured: u64,
-    ) -> HashMap<String, Work> {
-        let params = DeploymentParams {
-            mode,
-            seed,
-            ..DeploymentParams::default()
-        };
-        let mut deployment = Deployment::build(tree, params);
-        deployment.run_rounds(warmup);
-        deployment.reset_meters();
-        let before: HashMap<String, u64> = deployment
-            .monitors
-            .iter()
-            .map(|(name, monitor)| (name.clone(), monitor.archive_updates()))
-            .collect();
-        deployment.run_rounds(measured);
-        deployment
-            .monitors
-            .iter()
-            .map(|(name, monitor)| {
-                let work = Work {
-                    archive_updates: monitor.archive_updates() - before[name],
-                    bytes_in: monitor
-                        .telemetry_snapshot()
-                        .counter("bytes_in_total")
-                        .unwrap_or(0),
-                };
-                (name.clone(), work)
-            })
-            .collect()
-    }
 
     fn small_deployment(mode: TreeMode) -> Deployment {
         Deployment::build(fig2_tree(5), DeploymentParams::default().with_mode(mode))

@@ -13,7 +13,7 @@
 use ganglia_core::telemetry::Snapshot;
 use ganglia_core::TreeMode;
 
-use crate::deploy::{Deployment, DeploymentParams};
+use crate::deploy::{Deployment, DeploymentParams, MonitorWindow};
 use crate::topology::fig2_tree;
 
 /// Experiment knobs. Defaults reproduce the paper's setup at a
@@ -43,12 +43,18 @@ impl Default for Fig5Params {
     }
 }
 
-/// One bar pair of figure 5.
+/// One bar pair of figure 5, with the counted work behind each bar
+/// (RRD updates and report bytes fetched over the measured window).
+/// Timed CPU% swings with machine load; the counts do not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     pub monitor: String,
     pub one_level_pct: f64,
     pub n_level_pct: f64,
+    pub one_level_rrd_updates: u64,
+    pub n_level_rrd_updates: u64,
+    pub one_level_bytes_fetched: u64,
+    pub n_level_bytes_fetched: u64,
 }
 
 /// One monitor's self-telemetry under each design, captured over the
@@ -89,29 +95,16 @@ impl Fig5Result {
     }
 }
 
-fn measure(mode: TreeMode, params: &Fig5Params) -> Vec<(String, f64, Snapshot)> {
-    let mut deployment = Deployment::build(
+fn measure(mode: TreeMode, params: &Fig5Params) -> Vec<MonitorWindow> {
+    Deployment::build(
         fig2_tree(params.hosts_per_cluster),
         DeploymentParams {
             mode,
             seed: params.seed,
             ..DeploymentParams::default()
         },
-    );
-    deployment.run_rounds(params.warmup_rounds);
-    deployment.reset_meters();
-    deployment.run_rounds(params.measured_rounds);
-    let telemetry = deployment.telemetry_report();
-    deployment
-        .cpu_report()
-        .rows
-        .into_iter()
-        .zip(telemetry)
-        .map(|(row, (telemetry_monitor, snapshot))| {
-            debug_assert_eq!(row.monitor, telemetry_monitor);
-            (row.monitor, row.percent, snapshot)
-        })
-        .collect()
+    )
+    .measure_window(params.warmup_rounds, params.measured_rounds)
 }
 
 /// Run the figure-5 experiment: both designs over the figure-2 tree.
@@ -120,19 +113,21 @@ pub fn run_fig5(params: &Fig5Params) -> Fig5Result {
     let n_level = measure(TreeMode::NLevel, params);
     let mut rows = Vec::new();
     let mut telemetry = Vec::new();
-    for ((monitor, one_pct, one_snap), (n_monitor, n_pct, n_snap)) in
-        one_level.into_iter().zip(n_level)
-    {
-        debug_assert_eq!(monitor, n_monitor);
+    for (one, n) in one_level.into_iter().zip(n_level) {
+        debug_assert_eq!(one.monitor, n.monitor);
         rows.push(Fig5Row {
-            monitor: monitor.clone(),
-            one_level_pct: one_pct,
-            n_level_pct: n_pct,
+            monitor: one.monitor.clone(),
+            one_level_pct: one.cpu_pct,
+            n_level_pct: n.cpu_pct,
+            one_level_rrd_updates: one.rrd_updates,
+            n_level_rrd_updates: n.rrd_updates,
+            one_level_bytes_fetched: one.bytes_fetched,
+            n_level_bytes_fetched: n.bytes_fetched,
         });
         telemetry.push(Fig5Telemetry {
-            monitor,
-            one_level: one_snap,
-            n_level: n_snap,
+            monitor: one.monitor,
+            one_level: one.telemetry,
+            n_level: n.telemetry,
         });
     }
     Fig5Result {
@@ -145,11 +140,9 @@ pub fn run_fig5(params: &Fig5Params) -> Fig5Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::tests::{counted_work, Work};
 
     /// A scaled-down figure 5 that still exhibits the paper's shape.
-    /// (The full 100-host version runs in the reproduction binary and
-    /// the benches.)
+    /// (The full 100-host version runs in `repro fig5`.)
     #[test]
     fn fig5_shape_holds_at_reduced_scale() {
         let result = run_fig5(&Fig5Params {
@@ -160,40 +153,47 @@ mod tests {
         });
         assert_eq!(result.rows.len(), 6);
 
-        // Each shape claim is asserted on work that deployments built
-        // like `run_fig5`'s count per monitor (RRD updates, report bytes
-        // fetched), which depends only on the seed; the timed CPU% the
-        // figure plots swings with machine load.
-        let count = |mode| counted_work(fig2_tree(30), mode, 7, 1, 5);
-        let (one, n) = (count(TreeMode::OneLevel), count(TreeMode::NLevel));
+        // Each shape claim is asserted on the figure's counted columns
+        // (RRD updates, report bytes fetched), which depend only on the
+        // seed; the timed CPU% the figure plots swings with machine load.
+        let one = |r: &Fig5Row| (r.one_level_rrd_updates, r.one_level_bytes_fetched);
+        let n = |r: &Fig5Row| (r.n_level_rrd_updates, r.n_level_bytes_fetched);
 
         // 1-level concentrates load at the root of the tree.
-        let (root_one, leaf_one) = (one["root"], one["attic"]);
+        let (root, leaf) = (result.monitor("root"), result.monitor("attic"));
         assert!(
-            root_one.archive_updates > leaf_one.archive_updates
-                && root_one.bytes_in > leaf_one.bytes_in,
-            "1-level root {root_one:?} must exceed leaf {leaf_one:?}"
+            one(root).0 > one(leaf).0 && one(root).1 > one(leaf).1,
+            "1-level root {:?} must exceed leaf {:?}",
+            one(root),
+            one(leaf)
         );
 
         // N-level drastically reduces root load relative to 1-level.
-        let root_n = n["root"];
         assert!(
-            (root_n.archive_updates as f64) < root_one.archive_updates as f64 / 1.4
-                && (root_n.bytes_in as f64) < root_one.bytes_in as f64 / 1.4,
-            "N-level root {root_n:?} vs 1-level {root_one:?}"
+            (n(root).0 as f64) < one(root).0 as f64 / 1.4
+                && (n(root).1 as f64) < one(root).1 as f64 / 1.4,
+            "N-level root {:?} vs 1-level {:?}",
+            n(root),
+            one(root)
         );
 
         // Interior node ucsd benefits the same way. Its children are
         // leaves, whose reports are the same under both designs, so its
         // saving is archive work alone.
-        assert!(n["ucsd"].archive_updates < one["ucsd"].archive_updates);
+        let ucsd = result.monitor("ucsd");
+        assert!(ucsd.n_level_rrd_updates < ucsd.one_level_rrd_updates);
 
         // Aggregate work is lower under N-level (no duplicate archives).
-        let one_total: Work = one.values().copied().sum();
-        let n_total: Work = n.values().copied().sum();
+        let total = |f: &dyn Fn(&Fig5Row) -> (u64, u64)| {
+            result
+                .rows
+                .iter()
+                .map(f)
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        };
+        let (one_total, n_total) = (total(&one), total(&n));
         assert!(
-            n_total.archive_updates < one_total.archive_updates
-                && n_total.bytes_in < one_total.bytes_in,
+            n_total.0 < one_total.0 && n_total.1 < one_total.1,
             "aggregate N-level {n_total:?} vs 1-level {one_total:?}"
         );
 

@@ -1,12 +1,12 @@
 //! The paper's experiments, one module per table/figure.
 //!
-//! Each experiment returns a structured result so the reproduction
-//! binaries, integration tests, and criterion benches all share one
-//! implementation. "Since we emphasize relative timings rather than
-//! absolute ones, a consistent measurement strategy is more critical
-//! than the specific collection method used" (§4.1) — the assertions in
-//! the test suite check the paper's *shapes* (who wins, roughly by how
-//! much, where load sits in the tree), not absolute numbers.
+//! Each experiment returns a structured result so the `repro` harness
+//! and the integration tests share one implementation. "Since we
+//! emphasize relative timings rather than absolute ones, a consistent
+//! measurement strategy is more critical than the specific collection
+//! method used" (§4.1) — the assertions in the test suite check the
+//! paper's *shapes* (who wins, roughly by how much, where load sits in
+//! the tree), not absolute numbers.
 
 pub mod bandwidth;
 pub mod federation;

@@ -13,8 +13,7 @@
 //!   the root sees `(levels − 1) × poll_interval` of age.
 //!
 //! Either way the measured root-visible age must stay within
-//! `levels × poll_interval + ε` — the claim the `repro_freshness` bench
-//! asserts.
+//! `levels × poll_interval + ε` — the claim `repro freshness` gates.
 //!
 //! Root-visible age is read from the `freshness.*` instruments: the
 //! 1-level root sees host `REPORTED` stamps directly

@@ -25,5 +25,5 @@ pub mod topology;
 
 pub use cpu::{CpuReport, MonitorCpu};
 pub use crash::{run_crash_replay, CrashMode, CrashParams, CrashReport};
-pub use deploy::{Deployment, DeploymentParams};
+pub use deploy::{Deployment, DeploymentParams, MonitorWindow};
 pub use topology::{chain_tree, fig2_tree, ClusterSpec, MonitorSpec, TreeSpec};

@@ -1,7 +1,7 @@
-//! Minimal JSON value parser — just enough for the bench harness to
-//! assert on its own telemetry dumps without pulling a serde stack into
-//! an offline workspace. Accepts the JSON this crate emits plus the
-//! usual grammar (nested containers, escapes, scientific notation);
+//! Minimal JSON value parser — just enough for viewers to read the
+//! trace log and for the `repro` harness to check its own reports,
+//! without pulling a serde stack into an offline workspace. Accepts the
+//! JSON this workspace emits plus the usual grammar (nested containers, escapes, scientific notation);
 //! rejects trailing garbage.
 
 use std::fmt;

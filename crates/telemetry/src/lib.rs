@@ -18,13 +18,13 @@
 //!   stamped with an injectable [`LogicalClock`] so simulation runs
 //!   stay deterministic.
 //! - [`Snapshot`] — a point-in-time copy of the registry, renderable as
-//!   an aligned table (`gmetad --once`, `gstat --telemetry`), a
-//!   standalone `TELEMETRY` XML document served over the query channel,
-//!   or a JSON object for the bench harness. XML round-trips losslessly
-//!   (histogram buckets travel in sparse form) so a viewer can compute
-//!   quantiles on the far side of the wire.
-//! - [`json`] — a dependency-free JSON value parser used by the bench
-//!   smoke test to assert on its own output.
+//!   an aligned table (`gmetad --once`, `gstat --telemetry`) or a
+//!   standalone `TELEMETRY` XML document served over the query channel.
+//!   XML round-trips losslessly (histogram buckets travel in sparse
+//!   form) so a viewer can compute quantiles on the far side of the
+//!   wire.
+//! - [`json`] — a dependency-free JSON value parser the `repro` harness
+//!   uses to check every report it writes.
 //!
 //! Naming scheme: histograms end in their unit (`fetch_us`), dotted
 //! segments express hierarchy (`source.sdsc.fetch_us`), and metrics a

@@ -185,42 +185,6 @@ impl Snapshot {
     }
 
     // ------------------------------------------------------------------
-    // JSON (bench harness / CI artifact)
-    // ------------------------------------------------------------------
-
-    /// Serialize as a JSON object: counters and gauges as name→value
-    /// maps, histograms as name→{count,sum,min,max,mean,p50,p95,p99}.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        push_pairs(&mut out, &self.counters);
-        out.push_str("},\"gauges\":{");
-        push_pairs(&mut out, &self.gauges);
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (p50, p95, p99) = h.percentiles();
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\
-                 \"p50\":{},\"p95\":{},\"p99\":{}}}",
-                json_string(name),
-                h.count,
-                h.sum,
-                h.min_or_zero(),
-                h.max,
-                h.mean(),
-                p50,
-                p95,
-                p99
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-
-    // ------------------------------------------------------------------
     // Table (gmetad --once, gstat --telemetry)
     // ------------------------------------------------------------------
 
@@ -313,17 +277,6 @@ fn width<'a>(values: impl Iterator<Item = &'a str>, header: &str) -> usize {
         .unwrap_or(0)
 }
 
-fn push_pairs(out: &mut String, pairs: &[(String, u64)]) {
-    for (i, (name, value)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(name));
-        out.push(':');
-        out.push_str(&value.to_string());
-    }
-}
-
 /// Escape a string for JSON output.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -377,25 +330,6 @@ mod tests {
     fn parse_rejects_non_telemetry_documents() {
         assert!(Snapshot::parse_xml("<GANGLIA_XML VERSION=\"1\" SOURCE=\"x\"/>").is_err());
         assert!(Snapshot::parse_xml("not xml at all").is_err());
-    }
-
-    #[test]
-    fn json_is_parseable_by_our_own_parser() {
-        let snap = sample();
-        let value = crate::json::parse(&snap.to_json()).unwrap();
-        assert_eq!(
-            value
-                .get("counters")
-                .and_then(|c| c.get("polls_ok_total"))
-                .and_then(|v| v.as_u64()),
-            Some(29)
-        );
-        let fetch = value
-            .get("histograms")
-            .and_then(|h| h.get("fetch_us"))
-            .unwrap();
-        assert_eq!(fetch.get("count").and_then(|v| v.as_u64()), Some(4));
-        assert!(fetch.get("p99").and_then(|v| v.as_u64()).unwrap() >= 250);
     }
 
     #[test]
