@@ -96,7 +96,7 @@ fn archive_round(state: &SourceState, mode: TreeMode) -> (f64, f64) {
     let mut set = RrdSet::with_spec_factory(|key, start| RrdSpec {
         step: 15,
         start,
-        data_sources: vec![DataSourceDef::gauge(key.metric.clone(), 120)],
+        data_source: DataSourceDef::gauge(key.metric.clone(), 120),
         archives: vec![RraDef::average(1, 64)],
     });
     let mut t = 0u64;
@@ -106,7 +106,7 @@ fn archive_round(state: &SourceState, mode: TreeMode) -> (f64, f64) {
     });
     (
         ns,
-        archive::archive_source(&mut set, state, mode, t + 15) as f64,
+        archive::archive_source(&mut set, state, mode, t + 15).updates as f64,
     )
 }
 
@@ -273,7 +273,7 @@ pub fn run_micro(_: &Params) -> Result<Report, String> {
         "rrd ladder update".into(),
         median_ns(|| {
             t += 15;
-            rrd.update(t, &[1.25]).expect("monotone update")
+            rrd.update(t, 1.25).expect("monotone update")
         }),
     );
     let child = clusters[0].summary();

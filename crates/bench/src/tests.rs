@@ -213,6 +213,7 @@ fn every_gate_is_pinned() {
         elapsed: Duration::from_millis(100),
         updates: 8000,
         files_written,
+        allocs_per_update: 0.0,
     };
     let crash = archive::CrashSweep {
         seeds: 10,
@@ -334,6 +335,7 @@ fn every_gate_is_pinned() {
             "ingest | churn 0% | alloc_reduction_x | >= 10",
             "ingest | churn 100% | alloc_overhead_per_round | <= 192",
             "archive | durable rounds | speedup_x | >= 3",
+            "archive | durable rounds | allocs_per_update | <= 0.01",
             "archive | crash sweep | bit_exact_recoveries | == 10",
             "archive | crash sweep | torn_tails | > 0",
             "archive | crash sweep | records_replayed | > 0",

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use ganglia_metrics::model::{ClusterBody, ClusterNode, GridBody, GridItem, GridNode, SummaryBody};
 use ganglia_rrd::{
-    journal_file_name, scan_and_repair, ConsolidationFn, JournalStats, MetricKey, RrdError, RrdSet,
-    Series,
+    journal_file_name, scan_and_repair, ConsolidationFn, JournalStats, KeyRef, MetricKey, RrdError,
+    RrdSet, Series,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -412,91 +412,112 @@ impl ArchiveShards {
     }
 }
 
-/// Archive one freshly-parsed source snapshot. Returns the number of
-/// RRD updates applied.
-pub fn archive_source(set: &mut RrdSet, state: &SourceState, mode: TreeMode, now: u64) -> u64 {
-    let before = set.update_count();
-    match &state.data {
-        SourceData::Cluster(cluster) => {
-            archive_cluster(set, &state.name, cluster, &state.summary, now);
-        }
-        SourceData::Grid(grid) => match mode {
-            TreeMode::NLevel => {
-                // Secondary interest only: the authority keeps the detail.
-                archive_summary(set, &state.name, &state.summary, now);
-            }
-            TreeMode::OneLevel => {
-                archive_grid_recursive(set, &state.name, grid, now);
-            }
-        },
-    }
-    set.update_count() - before
+/// What one archiving pass did to a shard.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Archived {
+    /// RRD updates applied.
+    pub updates: u64,
+    /// Updates a database rejected: the sample was at or before its
+    /// last update (a clock stepped back, or a poll at the logical time
+    /// of a replayed journal record).
+    pub rejected: u64,
 }
 
-fn archive_grid_recursive(set: &mut RrdSet, prefix: &str, grid: &GridNode, now: u64) {
-    match &grid.body {
-        GridBody::Summary(summary) => archive_summary(set, prefix, summary, now),
-        GridBody::Items(items) => {
-            archive_summary(set, prefix, &grid.summary(), now);
-            for item in items {
-                let path = format!("{prefix}/{}", item.name());
-                match item {
-                    GridItem::Cluster(cluster) => {
-                        archive_cluster(set, &path, cluster, &cluster.summary(), now)
+/// One archiving pass over a shard at logical time `now`.
+struct Pass<'a> {
+    set: &'a mut RrdSet,
+    now: u64,
+    archived: Archived,
+}
+
+impl<'a> Pass<'a> {
+    fn new(set: &'a mut RrdSet, now: u64) -> Self {
+        Pass {
+            set,
+            now,
+            archived: Archived::default(),
+        }
+    }
+
+    fn update(&mut self, key: KeyRef<'_>, value: f64) {
+        match self.set.update(key, self.now, value) {
+            Ok(()) => self.archived.updates += 1,
+            Err(_) => self.archived.rejected += 1,
+        }
+    }
+
+    fn grid(&mut self, prefix: &str, grid: &GridNode) {
+        match &grid.body {
+            GridBody::Summary(summary) => self.summary(prefix, summary),
+            GridBody::Items(items) => {
+                self.summary(prefix, &grid.summary());
+                for item in items {
+                    let path = format!("{prefix}/{}", item.name());
+                    match item {
+                        GridItem::Cluster(cluster) => {
+                            self.cluster(&path, cluster, &cluster.summary())
+                        }
+                        GridItem::Grid(inner) => self.grid(&path, inner),
                     }
-                    GridItem::Grid(inner) => archive_grid_recursive(set, &path, inner, now),
                 }
             }
         }
     }
-}
 
-fn archive_cluster(
-    set: &mut RrdSet,
-    source: &str,
-    cluster: &ClusterNode,
-    summary: &SummaryBody,
-    now: u64,
-) {
-    if let ClusterBody::Hosts(hosts) = &cluster.body {
-        for host in hosts {
-            for metric in &host.metrics {
-                let Some(value) = metric.value.as_f64() else {
-                    continue; // non-numeric metrics have no history
-                };
-                let key = MetricKey::host_metric(source, host.name.as_str(), metric.name.as_str());
-                // A down host gets unknown samples: its last-known values
-                // must not masquerade as fresh history.
-                let sample = if host.is_up() { value } else { f64::NAN };
-                let _ = set.update(&key, now, sample);
+    fn cluster(&mut self, source: &str, cluster: &ClusterNode, summary: &SummaryBody) {
+        if let ClusterBody::Hosts(hosts) = &cluster.body {
+            for host in hosts {
+                for metric in &host.metrics {
+                    let Some(value) = metric.value.as_f64() else {
+                        continue; // non-numeric metrics have no history
+                    };
+                    let key = KeyRef::host_metric(source, host.name.as_str(), metric.name.as_str());
+                    // A down host gets unknown samples: its last-known values
+                    // must not masquerade as fresh history.
+                    self.update(key, if host.is_up() { value } else { f64::NAN });
+                }
             }
         }
+        self.summary(source, summary);
     }
-    archive_summary(set, source, summary, now);
+
+    fn summary(&mut self, source: &str, summary: &SummaryBody) {
+        for metric in &summary.metrics {
+            let key = KeyRef::summary_metric(source, metric.name.as_str());
+            self.update(key, metric.sum);
+        }
+    }
 }
 
-fn archive_summary(set: &mut RrdSet, source: &str, summary: &SummaryBody, now: u64) {
-    for metric in &summary.metrics {
-        let key = MetricKey::summary_metric(source, metric.name.as_str());
-        let _ = set.update(&key, now, metric.sum);
+/// Archive one freshly-parsed source snapshot.
+pub fn archive_source(set: &mut RrdSet, state: &SourceState, mode: TreeMode, now: u64) -> Archived {
+    let mut pass = Pass::new(set, now);
+    match &state.data {
+        SourceData::Cluster(cluster) => pass.cluster(&state.name, cluster, &state.summary),
+        SourceData::Grid(grid) => match mode {
+            // Secondary interest only: the authority keeps the detail.
+            TreeMode::NLevel => pass.summary(&state.name, &state.summary),
+            TreeMode::OneLevel => pass.grid(&state.name, grid),
+        },
     }
+    pass.archived
 }
 
 /// Record explicitly-unknown samples for every archive under `source`
 /// (including 1-level nested paths `source/...`). Called while a source
 /// is unreachable so its downtime is visible in the history.
-pub fn write_unknowns(set: &mut RrdSet, source: &str, now: u64) -> u64 {
+pub fn write_unknowns(set: &mut RrdSet, source: &str, now: u64) -> Archived {
     let nested_prefix = format!("{source}/");
     let keys: Vec<MetricKey> = set
         .keys()
         .filter(|k| k.source == source || k.source.starts_with(&nested_prefix))
         .cloned()
         .collect();
-    let before = set.update_count();
+    let mut pass = Pass::new(set, now);
     for key in &keys {
-        let _ = set.update(key, now, f64::NAN);
+        pass.update(key.view(), f64::NAN);
     }
-    set.update_count() - before
+    pass.archived
 }
 
 #[cfg(test)]
@@ -532,7 +553,7 @@ mod tests {
     fn cluster_archives_hosts_and_summary_not_strings() {
         let mut set = RrdSet::new();
         let state = state_of(cluster_with(3), 15);
-        let updates = archive_source(&mut set, &state, TreeMode::NLevel, 15);
+        let updates = archive_source(&mut set, &state, TreeMode::NLevel, 15).updates;
         // 3 hosts × 1 numeric metric + 1 summary metric.
         assert_eq!(updates, 4);
         assert!(set
@@ -569,7 +590,7 @@ mod tests {
         };
         let summary = grid.summary();
         let state = SourceState::grid("attic", grid, summary, 15);
-        let updates = archive_source(&mut set, &state, TreeMode::NLevel, 15);
+        let updates = archive_source(&mut set, &state, TreeMode::NLevel, 15).updates;
         assert_eq!(updates, 1);
         assert_eq!(set.len(), 1);
         assert!(set.keys().all(|k| k.is_summary()));
@@ -596,7 +617,7 @@ mod tests {
         );
         let summary = grid.summary();
         let state = SourceState::grid("ucsd", grid, summary, 15);
-        let updates = archive_source(&mut set, &state, TreeMode::OneLevel, 15);
+        let updates = archive_source(&mut set, &state, TreeMode::OneLevel, 15).updates;
         // 4 host metrics + 2 cluster summaries + 1 grid summary.
         assert_eq!(updates, 7);
         assert!(set
@@ -654,12 +675,12 @@ mod tests {
         shards
             .shard("ucsd")
             .lock()
-            .update(&MetricKey::host_metric("ucsd/phys", "n0", "m"), 15, 1.0)
+            .update(KeyRef::host_metric("ucsd/phys", "n0", "m"), 15, 1.0)
             .unwrap();
         shards
             .shard("meteor")
             .lock()
-            .update(&MetricKey::summary_metric("meteor", "m"), 15, 2.0)
+            .update(KeyRef::summary_metric("meteor", "m"), 15, 2.0)
             .unwrap();
         // Exact source match.
         assert!(shards
@@ -697,12 +718,12 @@ mod tests {
         shards
             .shard("meteor")
             .lock()
-            .update(&MetricKey::host_metric("meteor", "n0", "load_one"), 15, 1.0)
+            .update(KeyRef::host_metric("meteor", "n0", "load_one"), 15, 1.0)
             .unwrap();
         shards
             .shard("sdsc")
             .lock()
-            .update(&MetricKey::summary_metric("sdsc", "load_one"), 15, 2.0)
+            .update(KeyRef::summary_metric("sdsc", "load_one"), 15, 2.0)
             .unwrap();
         assert_eq!(shards.flush().unwrap(), 2);
         // One directory tree, same layout a single RrdSet would write.
@@ -714,17 +735,26 @@ mod tests {
     #[test]
     fn write_unknowns_covers_nested_paths() {
         let mut set = RrdSet::new();
-        set.update(&MetricKey::host_metric("ucsd/phys", "n0", "m"), 15, 1.0)
+        set.update(KeyRef::host_metric("ucsd/phys", "n0", "m"), 15, 1.0)
             .unwrap();
-        set.update(&MetricKey::summary_metric("ucsd", "m"), 15, 1.0)
+        set.update(KeyRef::summary_metric("ucsd", "m"), 15, 1.0)
             .unwrap();
-        set.update(&MetricKey::host_metric("other", "n0", "m"), 15, 1.0)
+        set.update(KeyRef::host_metric("other", "n0", "m"), 15, 1.0)
             .unwrap();
         let written = write_unknowns(&mut set, "ucsd", 30);
-        assert_eq!(written, 2, "both ucsd archives, not `other`");
+        assert_eq!(written.updates, 2, "both ucsd archives, not `other`");
         // `ucsdX` must not match the `ucsd` prefix.
-        set.update(&MetricKey::host_metric("ucsdX", "n0", "m"), 15, 1.0)
+        set.update(KeyRef::host_metric("ucsdX", "n0", "m"), 15, 1.0)
             .unwrap();
-        assert_eq!(write_unknowns(&mut set, "ucsd", 45), 2);
+        assert_eq!(write_unknowns(&mut set, "ucsd", 45).updates, 2);
+        // A second pass at the same time is rejected, and counted.
+        let again = write_unknowns(&mut set, "ucsd", 45);
+        assert_eq!(
+            again,
+            Archived {
+                updates: 0,
+                rejected: 2
+            }
+        );
     }
 }

@@ -30,7 +30,8 @@ use ganglia_serve::{FrontTier, ServeOptions, SubscriptionRegistry};
 use ganglia_telemetry::{LogicalClock, Registry, Snapshot, Tracer};
 
 use crate::archive::{
-    archive_source, write_unknowns, ArchiveRecovery, ArchiveShards, CheckpointTotals, ShardJournal,
+    archive_source, write_unknowns, ArchiveRecovery, ArchiveShards, Archived, CheckpointTotals,
+    ShardJournal,
 };
 use crate::config::{ArchiveMode, GmetadConfig};
 use crate::error::GmetadError;
@@ -323,6 +324,16 @@ impl Gmetad {
         results
     }
 
+    /// Count the updates an archiving pass's databases rejected in
+    /// `archive.update_errors_total`; a pass with none touches nothing.
+    fn count_rejected(&self, archived: Archived) {
+        if archived.rejected > 0 {
+            self.registry
+                .counter("archive.update_errors_total")
+                .add(archived.rejected);
+        }
+    }
+
     /// Poll one source slot: the slot's own lock covers the fetch/parse,
     /// its archive shard's lock covers the archiving, and neither is
     /// held across the other longer than needed — so workers on other
@@ -364,9 +375,10 @@ impl Gmetad {
                 if self.config.archive != ArchiveMode::Off {
                     let shard = self.archives.shard(&name);
                     let mut set = shard.lock();
-                    self.meter.time(WorkCategory::Archive, || {
+                    let archived = self.meter.time(WorkCategory::Archive, || {
                         archive_source(&mut set, &state, self.config.tree_mode, now)
                     });
+                    self.count_rejected(archived);
                     // A very large source can outgrow the round-end group
                     // commit; fsync its shard early so the pending batch
                     // stays bounded. Other shards are untouched.
@@ -403,9 +415,10 @@ impl Gmetad {
                     {
                         if let Some(shard) = self.archives.get(&name) {
                             let mut set = shard.lock();
-                            self.meter.time(WorkCategory::Archive, || {
+                            let archived = self.meter.time(WorkCategory::Archive, || {
                                 write_unknowns(&mut set, &name, now)
                             });
+                            self.count_rejected(archived);
                         }
                     }
                     Degradation::Expired => {
@@ -685,9 +698,10 @@ impl Gmetad {
         if self.config.archive != ArchiveMode::Off {
             let shard = self.archives.shard(&self.self_cluster_name());
             let mut set = shard.lock();
-            self.meter.time(WorkCategory::Archive, || {
+            let archived = self.meter.time(WorkCategory::Archive, || {
                 archive_source(&mut set, &state, self.config.tree_mode, now)
             });
+            self.count_rejected(archived);
         }
         self.store.replace(state);
     }
@@ -1110,6 +1124,25 @@ mod tests {
         // 34 built-ins are strings and have no history).
         assert_eq!(gmetad.archive_count(), 8 * 29 + 29);
         assert!(gmetad.meter().total_busy() > Duration::ZERO);
+    }
+
+    #[test]
+    fn rejected_archive_updates_are_counted() {
+        let (net, _served, gmetad) = deploy(TreeMode::NLevel);
+        gmetad.poll_all(&net, 15);
+        let errors = || {
+            gmetad
+                .registry()
+                .snapshot()
+                .counter("archive.update_errors_total")
+        };
+        assert_eq!(errors(), None, "a clean round rejects nothing");
+        let updates = gmetad.archive_updates();
+        // A second round at the same logical time: every sample is at
+        // its database's last update, so every one is rejected.
+        gmetad.poll_all(&net, 15);
+        assert_eq!(gmetad.archive_updates(), updates);
+        assert_eq!(errors(), Some(gmetad.archive_count() as u64));
     }
 
     #[test]

@@ -10,12 +10,19 @@
 //! [`RrdSet`] counts every update so experiments can attribute archiving
 //! work; persistence to a directory tree is optional (the paper ran the
 //! archives on tmpfs to isolate CPU cost from disk I/O, §4.1).
+//!
+//! A steady-state update allocates nothing: databases are looked up by
+//! a borrowed [`KeyRef`], each database carries its own dirty state in
+//! place of a set of cloned keys, and the journal frame is encoded in
+//! place.
 
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 
 use crate::error::RrdError;
-use crate::journal::{Journal, JournalRecord, JournalStats};
+use crate::journal::{Journal, JournalStats};
 use crate::recover::{replay, scan_and_repair, ReplayStats};
 use crate::rrd::{Rrd, Series};
 use crate::spec::{ganglia_default_spec, ConsolidationFn, RrdSpec};
@@ -30,6 +37,77 @@ pub struct MetricKey {
     /// Metric name.
     pub metric: String,
 }
+
+/// A borrowed [`MetricKey`]: what [`RrdSet::update`] takes, so an
+/// update to an existing database never builds an owned key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KeyRef<'a> {
+    pub source: &'a str,
+    pub host: &'a str,
+    pub metric: &'a str,
+}
+
+impl<'a> KeyRef<'a> {
+    /// Key for a host metric.
+    pub fn host_metric(source: &'a str, host: &'a str, metric: &'a str) -> Self {
+        KeyRef {
+            source,
+            host,
+            metric,
+        }
+    }
+
+    /// Key for a source-level summary metric.
+    pub fn summary_metric(source: &'a str, metric: &'a str) -> Self {
+        KeyRef::host_metric(source, MetricKey::SUMMARY_HOST, metric)
+    }
+
+    /// The owned key.
+    pub(crate) fn to_key(self) -> MetricKey {
+        MetricKey::host_metric(self.source, self.host, self.metric)
+    }
+}
+
+/// What the database map is looked up by: an owned or a borrowed key.
+/// `MetricKey: Borrow<dyn KeyParts>` lets a [`KeyRef`] probe a
+/// `HashMap<MetricKey, _>`. `Borrow` requires both forms to hash alike:
+/// the derived hashes of `MetricKey` and `KeyRef` both hash the three
+/// parts as `str`s, in order.
+trait KeyParts {
+    fn parts(&self) -> KeyRef<'_>;
+}
+
+impl KeyParts for MetricKey {
+    fn parts(&self) -> KeyRef<'_> {
+        self.view()
+    }
+}
+
+impl KeyParts for KeyRef<'_> {
+    fn parts(&self) -> KeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for MetricKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
 
 impl MetricKey {
     /// The pseudo-host under which summary archives are kept.
@@ -55,6 +133,11 @@ impl MetricKey {
             host: Self::SUMMARY_HOST.to_string(),
             metric: metric.into(),
         }
+    }
+
+    /// The borrowed view [`RrdSet::update`] takes.
+    pub fn view(&self) -> KeyRef<'_> {
+        KeyRef::host_metric(&self.source, &self.host, &self.metric)
     }
 
     /// Whether this is a summary archive.
@@ -89,19 +172,37 @@ pub fn sanitize(part: &str) -> String {
 /// start time.
 pub type SpecFactory = Box<dyn Fn(&MetricKey, u64) -> RrdSpec + Send>;
 
+/// Whether a database's state is on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Durability {
+    /// Loaded from a file and not updated since: its key is the on-disk
+    /// (sanitized) name, which an update under the real name adopts.
+    Loaded,
+    /// Written by the last checkpoint that covered it.
+    Clean,
+    /// Updated since its last checkpoint write.
+    Dirty,
+}
+
+/// One database and whether it awaits a checkpoint.
+#[derive(Debug)]
+struct Database {
+    rrd: Rrd,
+    state: Durability,
+}
+
 /// A set of round-robin databases, one per metric key, created on first
 /// update.
 pub struct RrdSet {
-    databases: HashMap<MetricKey, Rrd>,
+    databases: HashMap<MetricKey, Database>,
     /// Spec applied to newly created databases.
     make_spec: SpecFactory,
     /// Persist databases under this directory when set.
     root: Option<PathBuf>,
     /// Write-ahead journal fronting the persistence root, when enabled.
     journal: Option<Journal>,
-    /// Keys updated since their database was last checkpointed. Ordered
-    /// so incremental checkpoints walk files deterministically.
-    dirty: BTreeSet<MetricKey>,
+    /// Databases in the [`Durability::Dirty`] state.
+    dirty_count: usize,
     /// Logical time of the last completed checkpoint.
     last_checkpoint_at: Option<u64>,
     /// Total updates across all databases (archiving work done).
@@ -150,7 +251,7 @@ impl RrdSet {
             make_spec: Box::new(|key, start| ganglia_default_spec(key.metric.clone(), start)),
             root: None,
             journal: None,
-            dirty: BTreeSet::new(),
+            dirty_count: 0,
             last_checkpoint_at: None,
             update_count: 0,
             create_count: 0,
@@ -196,14 +297,10 @@ impl RrdSet {
     /// With a journal attached, every accepted update is also buffered
     /// as a journal record; it becomes durable at the next group
     /// commit.
-    pub fn update(&mut self, key: &MetricKey, t: u64, value: f64) -> Result<(), RrdError> {
+    pub fn update(&mut self, key: KeyRef<'_>, t: u64, value: f64) -> Result<(), RrdError> {
         self.apply_unjournaled(key, t, value)?;
         if let Some(journal) = &mut self.journal {
-            journal.append(&JournalRecord {
-                key: key.clone(),
-                ts: t,
-                value,
-            });
+            journal.append(key, t, value);
         }
         Ok(())
     }
@@ -212,24 +309,53 @@ impl RrdSet {
     /// shared core of [`RrdSet::update`]. Marks the database dirty.
     pub fn apply_unjournaled(
         &mut self,
-        key: &MetricKey,
+        key: KeyRef<'_>,
         t: u64,
         value: f64,
     ) -> Result<(), RrdError> {
-        let rrd = match self.databases.get_mut(key) {
-            Some(rrd) => rrd,
+        let db = match self.databases.get_mut(&key as &dyn KeyParts) {
+            Some(db) => db,
             None => {
-                let spec = (self.make_spec)(key, t.saturating_sub(1));
-                self.create_count += 1;
-                self.databases
-                    .entry(key.clone())
-                    .or_insert(Rrd::create(spec)?)
+                let key = key.to_key();
+                let rrd = match self.adopt_loaded(&key) {
+                    Some(rrd) => rrd,
+                    None => {
+                        let spec = (self.make_spec)(&key, t.saturating_sub(1));
+                        self.create_count += 1;
+                        Rrd::create(spec)?
+                    }
+                };
+                self.databases.entry(key).or_insert(Database {
+                    rrd,
+                    state: Durability::Clean,
+                })
             }
         };
-        rrd.update(t, &[value])?;
+        db.rrd.update(t, value)?;
         self.update_count += 1;
-        self.dirty.insert(key.clone());
+        if db.state != Durability::Dirty {
+            db.state = Durability::Dirty;
+            self.dirty_count += 1;
+        }
         Ok(())
+    }
+
+    /// The database loaded from `key`'s file, if it is still keyed by
+    /// the file's sanitized name and nothing has updated it since. A
+    /// source, host or metric name outside `[A-Za-z0-9._-]` reloads
+    /// under that name; its first update after a restart takes the
+    /// database back instead of starting a second one.
+    fn adopt_loaded(&mut self, key: &MetricKey) -> Option<Rrd> {
+        // The key `load_source_dir` gave the file at `key.rel_path()`.
+        let sanitized = MetricKey::host_metric(
+            sanitize(&key.source),
+            sanitize(&key.host),
+            sanitize(&key.metric),
+        );
+        if self.databases.get(&sanitized).map(|db| db.state) != Some(Durability::Loaded) {
+            return None;
+        }
+        self.databases.remove(&sanitized).map(|db| db.rrd)
     }
 
     /// Fetch history for `key`.
@@ -240,14 +366,12 @@ impl RrdSet {
         start: u64,
         end: u64,
     ) -> Option<Result<Series, RrdError>> {
-        self.databases
-            .get(key)
-            .map(|rrd| rrd.fetch(0, cf, start, end))
+        self.get(key).map(|rrd| rrd.fetch(cf, start, end))
     }
 
     /// Direct access to one database.
     pub fn get(&self, key: &MetricKey) -> Option<&Rrd> {
-        self.databases.get(key)
+        self.databases.get(key).map(|db| &db.rrd)
     }
 
     /// Number of databases in the set.
@@ -286,8 +410,8 @@ impl RrdSet {
         let Some(root) = &self.root else {
             return Ok(0);
         };
-        for (key, rrd) in &self.databases {
-            crate::file::save(rrd, &root.join(key.rel_path()))?;
+        for (key, db) in &self.databases {
+            crate::file::save(&db.rrd, &root.join(key.rel_path()))?;
         }
         Ok(self.databases.len())
     }
@@ -319,7 +443,7 @@ impl RrdSet {
 
     /// Number of databases with updates not yet checkpointed to disk.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty_count
     }
 
     /// Checkpoint every dirty database to the persistence root, then
@@ -342,16 +466,24 @@ impl RrdSet {
         let Some(root) = self.root.clone() else {
             return Ok(CheckpointProgress::default());
         };
-        let batch: Vec<MetricKey> = self.dirty.iter().take(max_files).cloned().collect();
-        let mut files_written = 0;
+        let mut batch: Vec<MetricKey> = self
+            .databases
+            .iter()
+            .filter(|(_, db)| db.state == Durability::Dirty)
+            .map(|(key, _)| key.clone())
+            .collect();
+        batch.sort_unstable();
+        batch.truncate(max_files);
         for key in &batch {
-            if let Some(rrd) = self.databases.get(key) {
-                crate::file::save(rrd, &root.join(key.rel_path()))?;
-                files_written += 1;
-            }
-            self.dirty.remove(key);
+            let db = self
+                .databases
+                .get_mut(key)
+                .expect("dirty key has a database");
+            crate::file::save(&db.rrd, &root.join(key.rel_path()))?;
+            db.state = Durability::Clean;
+            self.dirty_count -= 1;
         }
-        let completed = self.dirty.is_empty();
+        let completed = self.dirty_count == 0;
         if completed {
             if let Some(journal) = &mut self.journal {
                 journal.truncate()?;
@@ -359,8 +491,8 @@ impl RrdSet {
             self.last_checkpoint_at = Some(now);
         }
         Ok(CheckpointProgress {
-            files_written,
-            remaining: self.dirty.len(),
+            files_written: batch.len(),
+            remaining: self.dirty_count,
             completed,
         })
     }
@@ -428,7 +560,8 @@ impl RrdSet {
 
     /// Load one source directory (`<root>/<source>/<host>/<metric>.rrd`)
     /// into the set, keying entries by the on-disk directory and file
-    /// names. Returns the number of databases loaded.
+    /// names until an update under the real name adopts them. Returns
+    /// the number of databases loaded.
     pub fn load_source_dir(&mut self, dir: &Path) -> Result<usize, RrdError> {
         let source: String = match dir.file_name() {
             Some(name) => name.to_string_lossy().into_owned(),
@@ -455,7 +588,15 @@ impl RrdSet {
                         .map(|s| s.to_string_lossy().into_owned())
                         .unwrap_or_default(),
                 };
-                self.databases.insert(key, rrd);
+                let loaded_db = Database {
+                    rrd,
+                    state: Durability::Loaded,
+                };
+                if let Some(old) = self.databases.insert(key, loaded_db) {
+                    if old.state == Durability::Dirty {
+                        self.dirty_count -= 1;
+                    }
+                }
                 loaded += 1;
             }
         }
@@ -490,8 +631,8 @@ mod tests {
     fn creates_databases_on_first_update() {
         let mut set = RrdSet::new();
         let key = MetricKey::host_metric("meteor", "compute-0-0", "load_one");
-        set.update(&key, 15, 0.5).unwrap();
-        set.update(&key, 30, 0.7).unwrap();
+        set.update(key.view(), 15, 0.5).unwrap();
+        set.update(key.view(), 30, 0.7).unwrap();
         assert_eq!(set.len(), 1);
         assert_eq!(set.update_count(), 2);
         assert_eq!(set.create_count(), 1);
@@ -509,8 +650,8 @@ mod tests {
         let summary = MetricKey::summary_metric("meteor", "load_one");
         assert!(summary.is_summary());
         assert!(!host.is_summary());
-        set.update(&host, 15, 1.0).unwrap();
-        set.update(&summary, 15, 10.0).unwrap();
+        set.update(host.view(), 15, 1.0).unwrap();
+        set.update(summary.view(), 15, 10.0).unwrap();
         assert_eq!(set.len(), 2);
     }
 
@@ -518,9 +659,9 @@ mod tests {
     fn unknown_samples_record_downtime() {
         let mut set = RrdSet::new();
         let key = MetricKey::host_metric("c", "h", "m");
-        set.update(&key, 15, 1.0).unwrap();
-        set.update(&key, 30, f64::NAN).unwrap();
-        set.update(&key, 45, 1.0).unwrap();
+        set.update(key.view(), 15, 1.0).unwrap();
+        set.update(key.view(), 30, f64::NAN).unwrap();
+        set.update(key.view(), 45, 1.0).unwrap();
         let series = set
             .fetch(&key, ConsolidationFn::Average, 0, 45)
             .unwrap()
@@ -557,14 +698,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut set = RrdSet::new().persist_to(&dir);
         let key = MetricKey::host_metric("meteor", "n0", "load_one");
-        set.update(&key, 15, 0.5).unwrap();
+        set.update(key.view(), 15, 0.5).unwrap();
         assert_eq!(set.flush().unwrap(), 1);
 
         let mut restored = RrdSet::new().persist_to(&dir);
         assert_eq!(restored.load_all().unwrap(), 1);
         assert!(restored.get(&key).is_some());
         // Continues updating after reload.
-        restored.update(&key, 30, 0.9).unwrap();
+        restored.update(key.view(), 30, 0.9).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -595,8 +736,8 @@ mod tests {
         let dir = journaled_dir("nockpt");
         let key = MetricKey::host_metric("meteor", "n0", "load_one");
         let mut set = journaled_set(&dir);
-        set.update(&key, 15, 0.5).unwrap();
-        set.update(&key, 30, 0.7).unwrap();
+        set.update(key.view(), 15, 0.5).unwrap();
+        set.update(key.view(), 30, 0.7).unwrap();
         assert!(set.journal_pending_bytes() > 0);
         set.commit_journal().unwrap();
         assert_eq!(set.journal_pending_bytes(), 0);
@@ -620,14 +761,14 @@ mod tests {
         let dir = journaled_dir("ckpt");
         let key = MetricKey::host_metric("meteor", "n0", "load_one");
         let mut set = journaled_set(&dir);
-        set.update(&key, 15, 1.0).unwrap();
+        set.update(key.view(), 15, 1.0).unwrap();
         set.commit_journal().unwrap();
         assert_eq!(set.dirty_count(), 1);
         assert_eq!(set.checkpoint(20).unwrap(), 1);
         assert_eq!(set.dirty_count(), 0);
         assert_eq!(set.last_checkpoint_at(), Some(20));
         // Post-checkpoint update, committed but not checkpointed.
-        set.update(&key, 30, 2.0).unwrap();
+        set.update(key.view(), 30, 2.0).unwrap();
         set.commit_journal().unwrap();
         let expect = set
             .fetch(&key, ConsolidationFn::Average, 0, 30)
@@ -656,7 +797,7 @@ mod tests {
         let mut set = journaled_set(&dir);
         for i in 0..4u32 {
             let key = MetricKey::host_metric("meteor", format!("n{i}"), "load_one");
-            set.update(&key, 15, f64::from(i)).unwrap();
+            set.update(key.view(), 15, f64::from(i)).unwrap();
         }
         set.commit_journal().unwrap();
         let journal_len = set.journal_stats().unwrap().durable_bytes;
@@ -671,5 +812,76 @@ mod tests {
         assert!(progress.completed);
         assert!(set.journal_stats().unwrap().durable_bytes < journal_len);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn partial_checkpoint_writes_the_first_keys_in_order() {
+        let dir = journaled_dir("order");
+        let mut set = journaled_set(&dir);
+        // Updated out of key order: the pass still picks n0 and n1.
+        for i in [3u32, 1, 0, 2] {
+            let key = MetricKey::host_metric("meteor", format!("n{i}"), "load_one");
+            set.update(key.view(), 15, f64::from(i)).unwrap();
+        }
+        let progress = set.checkpoint_partial(20, 2).unwrap();
+        assert_eq!(progress.files_written, 2);
+        assert_eq!(set.dirty_count(), 2);
+        let on_disk = |i: u32| {
+            let key = MetricKey::host_metric("meteor", format!("n{i}"), "load_one");
+            dir.join(key.rel_path()).exists()
+        };
+        assert_eq!([0, 1, 2, 3].map(on_disk), [true, true, false, false]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn restart_adopts_databases_loaded_under_sanitized_names() {
+        let dir = journaled_dir("sanitized");
+        let key = MetricKey::host_metric("meteor lab", "node 0", "load/one");
+        let mut set = journaled_set(&dir);
+        for i in 1..=10u64 {
+            set.update(key.view(), i * 15, i as f64).unwrap();
+        }
+        set.commit_journal().unwrap();
+        set.checkpoint(150).unwrap();
+        let known = |set: &RrdSet| {
+            let series = set.fetch(&key, ConsolidationFn::Average, 0, 150);
+            series.map(|s| s.unwrap().known_count())
+        };
+        let before = known(&set);
+        assert_eq!(before, Some(9));
+        drop(set);
+
+        let mut restored = journaled_set(&dir);
+        assert_eq!(restored.recover().unwrap().loaded, 1);
+        restored.update(key.view(), 165, 11.0).unwrap();
+        assert_eq!(
+            restored.len(),
+            1,
+            "{:?}",
+            restored.keys().collect::<Vec<_>>()
+        );
+        assert_eq!(known(&restored), before);
+        assert_eq!(restored.create_count(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn borrowed_and_owned_keys_hash_alike() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash(value: &(impl Hash + ?Sized)) -> u64 {
+            let mut hasher = DefaultHasher::new();
+            value.hash(&mut hasher);
+            hasher.finish()
+        }
+        let key = MetricKey::host_metric("ucsd/phys", "n0", "load_one");
+        let borrowed = KeyRef::host_metric("ucsd/phys", "n0", "load_one");
+        assert_eq!(hash(&key), hash(&borrowed));
+        assert_eq!(hash(&key), hash(&borrowed as &dyn KeyParts));
+        assert_eq!(borrowed.to_key(), key);
+        assert_eq!(
+            KeyRef::summary_metric("meteor", "m").to_key(),
+            MetricKey::summary_metric("meteor", "m")
+        );
     }
 }

@@ -7,9 +7,7 @@ use std::fmt;
 pub enum RrdError {
     /// An update carried a timestamp at or before the previous one.
     UpdateInPast { last: u64, attempted: u64 },
-    /// An update supplied the wrong number of data-source values.
-    ValueCountMismatch { expected: usize, got: usize },
-    /// The spec was structurally invalid (no data sources, zero step...).
+    /// The spec was structurally invalid (no archives, zero step...).
     BadSpec(&'static str),
     /// A fetch named a consolidation function no archive provides.
     NoSuchArchive,
@@ -26,12 +24,6 @@ impl fmt::Display for RrdError {
                 f,
                 "update at {attempted} is not after the previous update at {last}"
             ),
-            RrdError::ValueCountMismatch { expected, got } => {
-                write!(
-                    f,
-                    "update carried {got} values, database has {expected} data sources"
-                )
-            }
             RrdError::BadSpec(why) => write!(f, "invalid rrd spec: {why}"),
             RrdError::NoSuchArchive => write!(f, "no archive with the requested consolidation"),
             RrdError::BadFile(why) => write!(f, "malformed rrd file: {why}"),

@@ -17,26 +17,28 @@ use crate::spec::{ConsolidationFn, DataSourceDef, DataSourceType, RraDef, RrdSpe
 const MAGIC: &[u8; 8] = b"GRRD0001";
 
 /// Serialize a database to its binary form.
+///
+/// The layout keeps a data-source count (always 1) so files stay
+/// byte-compatible with every archive written before databases were
+/// fixed at one data source.
 pub fn encode(rrd: &Rrd) -> Vec<u8> {
     let spec = rrd.spec();
-    let ds_count = spec.data_sources.len();
+    let ds = &spec.data_source;
     let mut buf = BytesMut::with_capacity(64 + spec.cell_count() * 8);
     buf.put_slice(MAGIC);
     buf.put_u64(spec.step);
     buf.put_u64(spec.start);
     buf.put_u64(rrd.last_update);
     buf.put_u64(rrd.update_count);
-    buf.put_u32(ds_count as u32);
-    for (i, ds) in spec.data_sources.iter().enumerate() {
-        put_string(&mut buf, &ds.name);
-        buf.put_u8(ds.dst.to_u8());
-        buf.put_u64(ds.heartbeat);
-        buf.put_f64(ds.min);
-        buf.put_f64(ds.max);
-        buf.put_f64(rrd.last_raw[i]);
-        buf.put_f64(rrd.pdp_sum[i]);
-        buf.put_u64(rrd.pdp_known[i]);
-    }
+    buf.put_u32(1);
+    put_string(&mut buf, &ds.name);
+    buf.put_u8(ds.dst.to_u8());
+    buf.put_u64(ds.heartbeat);
+    buf.put_f64(ds.min);
+    buf.put_f64(ds.max);
+    buf.put_f64(rrd.last_raw);
+    buf.put_f64(rrd.pdp_sum);
+    buf.put_u64(rrd.pdp_known);
     buf.put_u32(rrd.archives.len() as u32);
     for archive in &rrd.archives {
         buf.put_u8(archive.def.cf.to_u8());
@@ -47,12 +49,8 @@ pub fn encode(rrd: &Rrd) -> Vec<u8> {
         buf.put_u64(archive.next as u64);
         buf.put_u64(archive.written as u64);
         buf.put_u64(archive.last_row_time);
-        for &v in &archive.cdp_agg {
-            buf.put_f64(v);
-        }
-        for &v in &archive.cdp_known {
-            buf.put_u32(v);
-        }
+        buf.put_f64(archive.cdp_agg);
+        buf.put_u32(archive.cdp_known);
         for &v in &archive.data {
             buf.put_f64(v);
         }
@@ -89,37 +87,26 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
     if start > 1 << 48 || last_update > 1 << 48 || last_update < start {
         return Err(bad("implausible timestamps"));
     }
-    let ds_count = input.get_u32() as usize;
-    if ds_count == 0 || ds_count > 1 << 16 {
-        return Err(bad("implausible data source count"));
+    if input.get_u32() != 1 {
+        return Err(bad("data source count is not 1"));
     }
-    let mut data_sources = Vec::with_capacity(ds_count);
-    let mut last_raw = Vec::with_capacity(ds_count);
-    let mut pdp_sum = Vec::with_capacity(ds_count);
-    let mut pdp_known = Vec::with_capacity(ds_count);
-    for _ in 0..ds_count {
-        let name = get_string(&mut input)?;
-        // dst byte + heartbeat/min/max + last_raw/pdp_sum/pdp_known.
-        need(1 + 8 * 6, input)?;
-        let dst = DataSourceType::from_u8(input.get_u8()).ok_or_else(|| bad("bad ds type"))?;
-        let heartbeat = input.get_u64();
-        let min = input.get_f64();
-        let max = input.get_f64();
-        data_sources.push(DataSourceDef {
-            name,
-            dst,
-            heartbeat,
-            min,
-            max,
-        });
-        last_raw.push(input.get_f64());
-        pdp_sum.push(input.get_f64());
-        let known = input.get_u64();
-        // Known seconds accumulate within the current step only.
-        if known > step {
-            return Err(bad("pdp accumulator exceeds step"));
-        }
-        pdp_known.push(known);
+    let name = get_string(&mut input)?;
+    // dst byte + heartbeat/min/max + last_raw/pdp_sum/pdp_known.
+    need(1 + 8 * 6, input)?;
+    let dst = DataSourceType::from_u8(input.get_u8()).ok_or_else(|| bad("bad ds type"))?;
+    let data_source = DataSourceDef {
+        name,
+        dst,
+        heartbeat: input.get_u64(),
+        min: input.get_f64(),
+        max: input.get_f64(),
+    };
+    let last_raw = input.get_f64();
+    let pdp_sum = input.get_f64();
+    let pdp_known = input.get_u64();
+    // Known seconds accumulate within the current step only.
+    if pdp_known > step {
+        return Err(bad("pdp accumulator exceeds step"));
     }
     need(4, input)?;
     let rra_count = input.get_u32() as usize;
@@ -170,22 +157,15 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
         {
             return Err(bad("inconsistent archive row time"));
         }
-        need(ds_count * 12 + rows * ds_count * 8, input)?;
-        let mut cdp_agg = Vec::with_capacity(ds_count);
-        for _ in 0..ds_count {
-            cdp_agg.push(input.get_f64());
+        need(12 + rows * 8, input)?;
+        let cdp_agg = input.get_f64();
+        let cdp_known = input.get_u32();
+        // Known PDPs accumulate within the row in progress only.
+        if cdp_known as usize > steps_in_cdp {
+            return Err(bad("cdp accumulator exceeds row progress"));
         }
-        let mut cdp_known = Vec::with_capacity(ds_count);
-        for _ in 0..ds_count {
-            let known = input.get_u32();
-            // Known PDPs accumulate within the row in progress only.
-            if known as usize > steps_in_cdp {
-                return Err(bad("cdp accumulator exceeds row progress"));
-            }
-            cdp_known.push(known);
-        }
-        let mut data = Vec::with_capacity(rows * ds_count);
-        for _ in 0..rows * ds_count {
+        let mut data = Vec::with_capacity(rows);
+        for _ in 0..rows {
             data.push(input.get_f64());
         }
         archives.push(Archive {
@@ -202,7 +182,7 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
     let spec = RrdSpec {
         step,
         start,
-        data_sources,
+        data_source,
         archives: archive_defs,
     };
     spec.validate()?;
@@ -288,12 +268,13 @@ fn get_string(input: &mut &[u8]) -> Result<String, RrdError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rrd::Series;
     use crate::spec::ganglia_default_spec;
 
     fn populated_rrd() -> Rrd {
         let mut rrd = Rrd::create(ganglia_default_spec("load_one", 0)).unwrap();
         for i in 1..=500u64 {
-            rrd.update(i * 15, &[(i % 17) as f64]).unwrap();
+            rrd.update(i * 15, (i % 17) as f64).unwrap();
         }
         rrd
     }
@@ -308,16 +289,13 @@ mod tests {
         assert_eq!(back.spec().step, rrd.spec().step);
         assert_eq!(back.spec().start, rrd.spec().start);
         assert_eq!(back.spec().archives, rrd.spec().archives);
-        assert_eq!(
-            back.spec().data_sources[0].name,
-            rrd.spec().data_sources[0].name
-        );
-        assert!(back.spec().data_sources[0].min.is_nan());
+        assert_eq!(back.spec().data_source.name, rrd.spec().data_source.name);
+        assert!(back.spec().data_source.min.is_nan());
         assert_eq!(back.last_update(), rrd.last_update());
         assert_eq!(back.update_count(), rrd.update_count());
         // Fetches agree exactly.
-        let a = rrd.fetch(0, ConsolidationFn::Average, 0, 7500).unwrap();
-        let b = back.fetch(0, ConsolidationFn::Average, 0, 7500).unwrap();
+        let a = rrd.fetch(ConsolidationFn::Average, 0, 7500).unwrap();
+        let b = back.fetch(ConsolidationFn::Average, 0, 7500).unwrap();
         assert_eq!(a.start, b.start);
         assert_eq!(a.step, b.step);
         for (x, y) in a.values.iter().zip(&b.values) {
@@ -329,7 +307,7 @@ mod tests {
     fn decode_continues_updating() {
         let rrd = populated_rrd();
         let mut back = decode(&encode(&rrd)).unwrap();
-        back.update(501 * 15, &[3.0]).unwrap();
+        back.update(501 * 15, 3.0).unwrap();
         assert_eq!(back.update_count(), 501);
     }
 
@@ -340,7 +318,7 @@ mod tests {
         // Same spec => same encoded size regardless of update history
         // (names differ by one byte here, so compare against same name).
         let mut fresh_same = Rrd::create(ganglia_default_spec("load_one", 0)).unwrap();
-        fresh_same.update(15, &[1.0]).unwrap();
+        fresh_same.update(15, 1.0).unwrap();
         assert_eq!(encode(&fresh_same).len(), encode(&grown).len());
         assert!(encode(&fresh).len() < encode(&grown).len() + 16);
     }
@@ -363,6 +341,99 @@ mod tests {
         let back = load(&path).unwrap();
         assert_eq!(back.last_update(), rrd.last_update());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `golden_rrd()` encoded by the engine before databases were fixed
+    /// at one data source. The on-disk format must not move.
+    const GOLDEN_RRD: &str = concat!(
+        "4752524430303031000000000000000a000000000000000000000000000000cb",
+        "000000000000001400000001000000086c6f61645f6f6e650000000000000000",
+        "287ff80000000000007ff80000000000004004000000000000401e0000000000",
+        "00000000000000000300000002003fe000000000000000000000000000010000",
+        "0000000000080000000000000000000000000000000400000000000000080000",
+        "0000000000c87ff8000000000000000000004015000000000000401600000000",
+        "0000401700000000000040040000000000004011000000000000401200000000",
+        "00007ff80000000000004014000000000000023fe00000000000000000000000",
+        "0000040000000000000008000000000000000000000000000000050000000000",
+        "00000500000000000000c87ff800000000000000000000400000000000000040",
+        "080000000000004010000000000000401400000000000040170000000000007f",
+        "f80000000000007ff80000000000007ff8000000000000",
+    );
+
+    fn golden_rrd() -> Rrd {
+        let spec = RrdSpec {
+            step: 10,
+            start: 0,
+            data_source: DataSourceDef::gauge("load_one", 40),
+            archives: vec![
+                RraDef::average(1, 8),
+                RraDef {
+                    cf: ConsolidationFn::Max,
+                    xff: 0.5,
+                    pdp_per_row: 4,
+                    rows: 8,
+                },
+            ],
+        };
+        let mut rrd = Rrd::create(spec).unwrap();
+        for i in 1..=19u64 {
+            let value = if i == 15 {
+                f64::NAN
+            } else {
+                i as f64 * 0.25 + 1.0
+            };
+            rrd.update(i * 10, value).unwrap();
+        }
+        rrd.update(203, 2.5).unwrap(); // leaves a step and a row in progress
+        rrd
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn bits(series: &Series) -> (u64, u64, Vec<u64>) {
+        let values = series.values.iter().map(|v| v.to_bits()).collect();
+        (series.start, series.step, values)
+    }
+
+    #[test]
+    fn golden_file_bytes_and_fetches_are_stable() {
+        let rrd = golden_rrd();
+        assert_eq!(hex(&encode(&rrd)), GOLDEN_RRD);
+        let back = decode(&unhex(GOLDEN_RRD)).unwrap();
+        let nan = f64::NAN.to_bits();
+        let mut average = vec![nan; 12];
+        average.extend([4.25, 4.5, f64::NAN, 5.0, 5.25, 5.5, 5.75, 2.5].map(f64::to_bits));
+        let max = [2.0, 3.0, 4.0, 5.0, 5.75].map(f64::to_bits).to_vec();
+        for (cf, start, step, values) in [
+            (ConsolidationFn::Average, 10, 10, average),
+            (ConsolidationFn::Max, 40, 40, max),
+        ] {
+            let want = (start, step, values);
+            assert_eq!(bits(&rrd.fetch(cf, 0, 203).unwrap()), want, "{cf:?}");
+            assert_eq!(bits(&back.fetch(cf, 0, 203).unwrap()), want, "{cf:?}");
+        }
+        assert_eq!(encode(&back), encode(&rrd));
+    }
+
+    #[test]
+    fn data_source_count_other_than_one_is_rejected() {
+        let mut bytes = encode(&golden_rrd());
+        // magic + step/start/last_update/update_count, then the count.
+        let at = MAGIC.len() + 4 * 8;
+        assert_eq!(bytes[at..at + 4], 1u32.to_be_bytes());
+        for count in [0u32, 2] {
+            bytes[at..at + 4].copy_from_slice(&count.to_be_bytes());
+            assert!(matches!(decode(&bytes), Err(RrdError::BadFile(_))));
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::cache::MetricKey;
+use crate::cache::{KeyRef, MetricKey};
 use crate::error::RrdError;
 
 /// Magic prefix of every journal file.
@@ -87,20 +87,21 @@ pub struct JournalRecord {
     pub value: f64,
 }
 
-impl JournalRecord {
-    /// Serialize the record payload (without framing).
-    pub fn encode_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.ts.to_be_bytes());
-        out.extend_from_slice(&self.value.to_bits().to_be_bytes());
-        for part in [&self.key.source, &self.key.host, &self.key.metric] {
-            let bytes = part.as_bytes();
-            let len = bytes.len().min(u16::MAX as usize) as u16;
-            out.extend_from_slice(&len.to_be_bytes());
-            out.extend_from_slice(&bytes[..len as usize]);
-        }
+/// Serialize one record payload (without framing) from borrowed parts.
+/// [`JournalRecord::decode_payload`] is its inverse.
+fn encode_payload(out: &mut Vec<u8>, key: KeyRef<'_>, ts: u64, value: f64) {
+    out.extend_from_slice(&ts.to_be_bytes());
+    out.extend_from_slice(&value.to_bits().to_be_bytes());
+    for part in [key.source, key.host, key.metric] {
+        let bytes = part.as_bytes();
+        let len = bytes.len().min(u16::MAX as usize) as u16;
+        out.extend_from_slice(&len.to_be_bytes());
+        out.extend_from_slice(&bytes[..len as usize]);
     }
+}
 
-    /// Parse a record payload produced by [`JournalRecord::encode_payload`].
+impl JournalRecord {
+    /// Parse a record payload produced by [`Journal::append`].
     pub fn decode_payload(mut input: &[u8]) -> Result<Self, RrdError> {
         let bad = |why: &str| RrdError::BadFile(why.to_string());
         let take = |input: &mut &[u8], n: usize| -> Result<Vec<u8>, RrdError> {
@@ -205,18 +206,22 @@ impl Journal {
     }
 
     /// Buffer one record for the next commit. Returns the framed size.
-    pub fn append(&mut self, record: &JournalRecord) -> usize {
-        let mut payload = Vec::with_capacity(
-            8 + 8 + 6 + record.key.source.len() + record.key.host.len() + record.key.metric.len(),
-        );
-        record.encode_payload(&mut payload);
-        self.pending
-            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        self.pending
-            .extend_from_slice(&crc32(&payload).to_be_bytes());
-        self.pending.extend_from_slice(&payload);
+    ///
+    /// The frame is encoded in place at the end of the pending batch:
+    /// its 8-byte header is reserved, the payload written from the
+    /// borrowed key, and the header patched with the payload's length
+    /// and CRC — so a steady-state append never allocates.
+    pub fn append(&mut self, key: KeyRef<'_>, ts: u64, value: f64) -> usize {
+        let start = self.pending.len();
+        self.pending.extend_from_slice(&[0; 8]);
+        encode_payload(&mut self.pending, key, ts, value);
+        let payload = &self.pending[start + 8..];
+        let len = (payload.len() as u32).to_be_bytes();
+        let crc = crc32(payload).to_be_bytes();
+        self.pending[start..start + 4].copy_from_slice(&len);
+        self.pending[start + 4..start + 8].copy_from_slice(&crc);
         self.pending_records += 1;
-        8 + payload.len()
+        self.pending.len() - start
     }
 
     /// Current accounting.
@@ -235,7 +240,9 @@ impl Journal {
     }
 
     /// Group-commit the buffered batch: one write, one `fdatasync`.
-    /// Returns the number of bytes made durable by this commit.
+    /// Returns the number of bytes made durable by this commit. The
+    /// batch buffer keeps its capacity for the next round; on failure
+    /// the batch stays buffered so the caller may retry the commit.
     pub fn commit(&mut self) -> Result<u64, RrdError> {
         if self.pending.is_empty() {
             return Ok(0);
@@ -244,12 +251,10 @@ impl Journal {
         let outcome = self
             .open_or_create()
             .and_then(|file| Ok(file.write_all(&batch).and_then(|()| file.sync_data())?));
-        if let Err(e) = outcome {
-            // Keep the batch buffered: the caller may retry the commit.
-            self.pending = batch;
-            return Err(e);
-        }
-        let written = batch.len() as u64;
+        self.pending = batch;
+        outcome?;
+        let written = self.pending.len() as u64;
+        self.pending.clear();
         self.durable_bytes += written;
         self.pending_records = 0;
         self.commits += 1;
@@ -378,19 +383,33 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
+    /// One framed record, as every journal since GJRNL001 has written
+    /// it: `u32 len | u32 crc32 | ts | NaN bits | source | host | metric`.
+    const GOLDEN_FRAME: &str = concat!(
+        "00000032", // payload length: 50
+        "b960dced", // crc32(payload)
+        "0000000000003039",
+        "7ff8000000000000",
+        "0009",
+        "756373642f70687973", // ucsd/phys
+        "000b",
+        "636f6d707574652d302d30", // compute-0-0
+        "0008",
+        "6c6f61645f6f6e65", // load_one
+    );
+
     #[test]
-    fn record_payload_roundtrips() {
-        let record = JournalRecord {
-            key: MetricKey::host_metric("ucsd/phys", "compute-0-0", "load_one"),
-            ts: 12345,
-            value: f64::NAN,
-        };
-        let mut payload = Vec::new();
-        record.encode_payload(&mut payload);
-        let back = JournalRecord::decode_payload(&payload).unwrap();
-        assert_eq!(back.key, record.key);
-        assert_eq!(back.ts, record.ts);
-        assert_eq!(back.value.to_bits(), record.value.to_bits());
+    fn frame_bytes_are_golden_and_decode_back() {
+        let key = MetricKey::host_metric("ucsd/phys", "compute-0-0", "load_one");
+        let mut journal = Journal::new("unused.wal", "ucsd/phys");
+        let framed = journal.append(key.view(), 12345, f64::NAN);
+        let hex: String = journal.pending.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_FRAME);
+        assert_eq!(framed, journal.pending.len());
+        let back = JournalRecord::decode_payload(&journal.pending[8..]).unwrap();
+        assert_eq!(back.key, key);
+        assert_eq!(back.ts, 12345);
+        assert_eq!(back.value.to_bits(), f64::NAN.to_bits());
     }
 
     #[test]
@@ -399,15 +418,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("meteor.wal");
         let mut journal = Journal::new(&path, "meteor");
-        journal.append(&JournalRecord {
-            key: MetricKey::host_metric("meteor", "n0", "load_one"),
-            ts: 15,
-            value: 1.0,
-        });
+        let key = MetricKey::host_metric("meteor", "n0", "load_one");
+        journal.append(key.view(), 15, 1.0);
         assert!(journal.pending_bytes() > 0);
+        let capacity = journal.pending.capacity();
         let written = journal.commit().unwrap();
         assert!(written > 0);
         assert_eq!(journal.pending_bytes(), 0);
+        // The batch buffer is reused by the next round, not regrown.
+        assert_eq!(journal.pending.capacity(), capacity);
         let full = std::fs::metadata(&path).unwrap().len();
         assert_eq!(full, journal.stats().durable_bytes);
         journal.truncate().unwrap();

@@ -8,9 +8,9 @@
 //!
 //! This crate reimplements that data model from scratch:
 //!
-//! * a database ([`Rrd`]) holds one or more **data sources** sampled on a
-//!   fixed **step**, each with a heartbeat after which silence becomes
-//!   *unknown* — the "zero record during the downtime" that aids
+//! * a database ([`Rrd`]) holds one **data source** sampled on a fixed
+//!   **step**, with a heartbeat after which silence becomes *unknown* —
+//!   the "zero record during the downtime" that aids
 //!   "time-of-death forensic analysis" (§3.1);
 //! * one or more **round-robin archives** ([`RraDef`]) consolidate
 //!   primary data points at progressively coarser resolutions
@@ -31,7 +31,7 @@ pub mod rrd;
 pub mod spec;
 pub mod xport;
 
-pub use cache::{sanitize, CheckpointProgress, MetricKey, RrdSet, SetRecovery};
+pub use cache::{sanitize, CheckpointProgress, KeyRef, MetricKey, RrdSet, SetRecovery};
 pub use error::RrdError;
 pub use journal::{journal_file_name, Journal, JournalRecord, JournalStats};
 pub use recover::{read_label, replay, scan_and_repair, scan_journal, JournalScan, ReplayStats};

@@ -154,7 +154,7 @@ pub struct ReplayStats {
 pub fn replay(set: &mut RrdSet, records: &[JournalRecord]) -> ReplayStats {
     let mut stats = ReplayStats::default();
     for record in records {
-        match set.apply_unjournaled(&record.key, record.ts, record.value) {
+        match set.apply_unjournaled(record.key.view(), record.ts, record.value) {
             Ok(()) => stats.applied += 1,
             Err(RrdError::UpdateInPast { .. }) => stats.noops += 1,
             Err(_) => stats.errors += 1,
@@ -201,12 +201,17 @@ mod tests {
         }
     }
 
+    fn append(journal: &mut Journal, i: u64) {
+        let record = record(i);
+        journal.append(record.key.view(), record.ts, record.value);
+    }
+
     #[test]
     fn clean_journal_scans_fully() {
         let path = temp_path("clean");
         let mut journal = Journal::new(&path, "meteor");
         for i in 1..=10 {
-            journal.append(&record(i));
+            append(&mut journal, i);
         }
         journal.commit().unwrap();
         let scan = scan_journal(&path).unwrap();
@@ -221,7 +226,7 @@ mod tests {
         let path = temp_path("torn");
         let mut journal = Journal::new(&path, "meteor");
         for i in 1..=4 {
-            journal.append(&record(i));
+            append(&mut journal, i);
         }
         journal.commit().unwrap();
         let image = std::fs::read(&path).unwrap();
@@ -254,8 +259,8 @@ mod tests {
     fn repair_truncates_then_appends_cleanly() {
         let path = temp_path("repair");
         let mut journal = Journal::new(&path, "meteor");
-        journal.append(&record(1));
-        journal.append(&record(2));
+        append(&mut journal, 1);
+        append(&mut journal, 2);
         journal.commit().unwrap();
         // Tear the last record in half.
         let len = std::fs::metadata(&path).unwrap().len();
@@ -271,7 +276,7 @@ mod tests {
         // A fresh journal handle appends after the repaired prefix and
         // the log stays fully readable.
         let mut journal = Journal::new(&path, "meteor");
-        journal.append(&record(3));
+        append(&mut journal, 3);
         journal.commit().unwrap();
         let scan = scan_journal(&path).unwrap();
         assert_eq!(scan.records.len(), 2);
@@ -284,7 +289,7 @@ mod tests {
     fn read_label_reads_only_the_header() {
         let path = temp_path("label");
         let mut journal = Journal::new(&path, "ucsd/phys");
-        journal.append(&record(1));
+        append(&mut journal, 1);
         journal.commit().unwrap();
         assert_eq!(read_label(&path).unwrap().as_deref(), Some("ucsd/phys"));
         assert_eq!(read_label(Path::new("/nonexistent/x.wal")).unwrap(), None);

@@ -80,7 +80,7 @@ impl DataSourceType {
     }
 }
 
-/// One data source within a database.
+/// A database's data source: the one sampled metric it records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataSourceDef {
     pub name: String,
@@ -144,7 +144,7 @@ pub struct RrdSpec {
     pub step: u64,
     /// Timestamp the database starts at; the first update must be later.
     pub start: u64,
-    pub data_sources: Vec<DataSourceDef>,
+    pub data_source: DataSourceDef,
     pub archives: Vec<RraDef>,
 }
 
@@ -153,9 +153,6 @@ impl RrdSpec {
     pub fn validate(&self) -> Result<(), RrdError> {
         if self.step == 0 {
             return Err(RrdError::BadSpec("step must be positive"));
-        }
-        if self.data_sources.is_empty() {
-            return Err(RrdError::BadSpec("at least one data source required"));
         }
         if self.archives.is_empty() {
             return Err(RrdError::BadSpec("at least one archive required"));
@@ -174,7 +171,7 @@ impl RrdSpec {
     /// Total number of stored cells, a proxy for the constant on-disk
     /// footprint.
     pub fn cell_count(&self) -> usize {
-        self.data_sources.len() * self.archives.iter().map(|r| r.rows).sum::<usize>()
+        self.archives.iter().map(|r| r.rows).sum::<usize>()
     }
 }
 
@@ -187,7 +184,7 @@ pub fn ganglia_default_spec(metric: impl Into<String>, start: u64) -> RrdSpec {
     RrdSpec {
         step: 15,
         start,
-        data_sources: vec![DataSourceDef::gauge(metric, 120)],
+        data_source: DataSourceDef::gauge(metric, 120),
         archives: vec![
             RraDef::average(1, 244),    // ~1 hour at 15 s
             RraDef::average(24, 244),   // ~1 day at 6 min
@@ -213,10 +210,6 @@ mod tests {
     fn validation_catches_degenerate_specs() {
         let mut spec = ganglia_default_spec("m", 0);
         spec.step = 0;
-        assert!(spec.validate().is_err());
-
-        let mut spec = ganglia_default_spec("m", 0);
-        spec.data_sources.clear();
         assert!(spec.validate().is_err());
 
         let mut spec = ganglia_default_spec("m", 0);

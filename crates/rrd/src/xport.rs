@@ -35,10 +35,10 @@ impl Xport {
 
 /// Fetch several databases over a shared window and align them.
 ///
-/// Each entry is `(label, database, data-source index)`. Returns an
-/// empty export for an empty request.
+/// Each entry is `(label, database)`. Returns an empty export for an
+/// empty request.
 pub fn xport(
-    requests: &[(&str, &Rrd, usize)],
+    requests: &[(&str, &Rrd)],
     cf: ConsolidationFn,
     window_start: u64,
     window_end: u64,
@@ -52,8 +52,8 @@ pub fn xport(
         });
     }
     let mut series = Vec::with_capacity(requests.len());
-    for (_, rrd, ds) in requests {
-        series.push(rrd.fetch(*ds, cf, window_start, window_end)?);
+    for (_, rrd) in requests {
+        series.push(rrd.fetch(cf, window_start, window_end)?);
     }
     // Resample everything onto the coarsest grid.
     let step = series.iter().map(|s| s.step).max().expect("non-empty");
@@ -68,7 +68,7 @@ pub fn xport(
     Ok(Xport {
         start,
         step,
-        labels: requests.iter().map(|(l, _, _)| l.to_string()).collect(),
+        labels: requests.iter().map(|(l, _)| l.to_string()).collect(),
         rows,
     })
 }
@@ -100,12 +100,12 @@ mod tests {
         let spec = RrdSpec {
             step,
             start: 0,
-            data_sources: vec![DataSourceDef::gauge("m", step * 4)],
+            data_source: DataSourceDef::gauge("m", step * 4),
             archives: vec![RraDef::average(1, 128)],
         };
         let mut rrd = Rrd::create(spec).unwrap();
         for (i, v) in values.iter().enumerate() {
-            rrd.update((i as u64 + 1) * step, &[*v]).unwrap();
+            rrd.update((i as u64 + 1) * step, *v).unwrap();
         }
         rrd
     }
@@ -114,13 +114,7 @@ mod tests {
     fn same_step_series_align_directly() {
         let a = rrd_with(10, &[1.0, 2.0, 3.0, 4.0]);
         let b = rrd_with(10, &[10.0, 20.0, 30.0, 40.0]);
-        let out = xport(
-            &[("a", &a, 0), ("b", &b, 0)],
-            ConsolidationFn::Average,
-            0,
-            40,
-        )
-        .unwrap();
+        let out = xport(&[("a", &a), ("b", &b)], ConsolidationFn::Average, 0, 40).unwrap();
         assert_eq!(out.step, 10);
         assert_eq!(out.labels, vec!["a", "b"]);
         assert_eq!(out.rows.len(), 4);
@@ -135,7 +129,7 @@ mod tests {
         let fine = rrd_with(10, &[2.0; 12]); // constant 2.0, 10 s step
         let coarse = rrd_with(30, &[5.0, 7.0, 9.0, 11.0]); // 30 s step
         let out = xport(
-            &[("fine", &fine, 0), ("coarse", &coarse, 0)],
+            &[("fine", &fine), ("coarse", &coarse)],
             ConsolidationFn::Average,
             0,
             120,
@@ -151,9 +145,9 @@ mod tests {
     #[test]
     fn unknown_cells_stay_unknown() {
         let mut sparse = rrd_with(10, &[1.0]);
-        sparse.update_unknown(20).unwrap();
-        sparse.update(30, &[3.0]).unwrap();
-        let out = xport(&[("s", &sparse, 0)], ConsolidationFn::Average, 0, 30).unwrap();
+        sparse.update(20, f64::NAN).unwrap();
+        sparse.update(30, 3.0).unwrap();
+        let out = xport(&[("s", &sparse)], ConsolidationFn::Average, 0, 30).unwrap();
         assert!(!out.rows[0][0].is_nan());
         assert!(out.rows[1][0].is_nan());
         assert!(!out.rows[2][0].is_nan());

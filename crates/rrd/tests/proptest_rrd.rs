@@ -35,13 +35,12 @@ fn update_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
 /// cannot actually operate on.
 fn exercise(mut rrd: Rrd) {
     let t = rrd.last_update().saturating_add(15);
-    let _ = rrd.update(t, &[1.0]);
-    let _ = rrd.update(t.saturating_add(400), &[2.0]);
+    let _ = rrd.update(t, 1.0);
+    let _ = rrd.update(t.saturating_add(400), 2.0);
     // Fetch a bounded window; the result size is linear in the window,
     // so an unbounded 0..t fetch with a corrupted (huge) clock would
     // measure allocator throughput, not decode hardening.
     let _ = rrd.fetch(
-        0,
         ConsolidationFn::Average,
         t.saturating_sub(5_000),
         t.saturating_add(1_000),
@@ -55,12 +54,12 @@ fn decode_survives_truncation_and_corruption_at_every_offset() {
     let spec = RrdSpec {
         step: 15,
         start: 0,
-        data_sources: vec![DataSourceDef::gauge("m", 60)],
+        data_source: DataSourceDef::gauge("m", 60),
         archives: vec![RraDef::average(1, 32), RraDef::average(8, 32)],
     };
     let mut rrd = Rrd::create(spec).unwrap();
     for i in 1..=100u64 {
-        rrd.update(i * 15, &[(i % 13) as f64]).unwrap();
+        rrd.update(i * 15, (i % 13) as f64).unwrap();
     }
     let image = ganglia_rrd::file::encode(&rrd);
     // Truncation at every prefix length: decode must error cleanly
@@ -95,7 +94,7 @@ proptest! {
     ) {
         let mut rrd = Rrd::create(ganglia_default_spec("m", 0)).unwrap();
         for (t, v) in &stream {
-            rrd.update(*t, &[*v]).unwrap();
+            rrd.update(*t, *v).unwrap();
         }
         let mut image = ganglia_rrd::file::encode(&rrd);
         for (offset, byte) in mutations {
@@ -113,11 +112,11 @@ proptest! {
     fn arbitrary_streams_never_panic_and_fetch_is_sane(stream in update_stream()) {
         let mut rrd = Rrd::create(ganglia_default_spec("m", 0)).unwrap();
         for (t, v) in &stream {
-            rrd.update(*t, &[*v]).unwrap();
+            rrd.update(*t, *v).unwrap();
         }
         let end = stream.last().unwrap().0;
         for (start, stop) in [(0, end), (end / 2, end), (end, end + 1000)] {
-            let series = rrd.fetch(0, ConsolidationFn::Average, start, stop).unwrap();
+            let series = rrd.fetch(ConsolidationFn::Average, start, stop).unwrap();
             // Every known value must lie within the observed value range
             // (averaging cannot extrapolate).
             for v in series.values.iter().filter(|v| !v.is_nan()) {
@@ -131,7 +130,7 @@ proptest! {
         let mut rrd = Rrd::create(ganglia_default_spec("m", 0)).unwrap();
         let before = ganglia_rrd::file::encode(&rrd).len();
         for (t, v) in &stream {
-            rrd.update(*t, &[*v]).unwrap();
+            rrd.update(*t, *v).unwrap();
         }
         let after = ganglia_rrd::file::encode(&rrd).len();
         prop_assert_eq!(before, after);
@@ -141,12 +140,12 @@ proptest! {
     fn file_roundtrip_preserves_fetches(stream in update_stream()) {
         let mut rrd = Rrd::create(ganglia_default_spec("m", 0)).unwrap();
         for (t, v) in &stream {
-            rrd.update(*t, &[*v]).unwrap();
+            rrd.update(*t, *v).unwrap();
         }
         let back = ganglia_rrd::file::decode(&ganglia_rrd::file::encode(&rrd)).unwrap();
         let end = stream.last().unwrap().0;
-        let a = rrd.fetch(0, ConsolidationFn::Average, 0, end).unwrap();
-        let b = back.fetch(0, ConsolidationFn::Average, 0, end).unwrap();
+        let a = rrd.fetch(ConsolidationFn::Average, 0, end).unwrap();
+        let b = back.fetch(ConsolidationFn::Average, 0, end).unwrap();
         prop_assert_eq!(a.start, b.start);
         prop_assert_eq!(a.step, b.step);
         prop_assert_eq!(a.values.len(), b.values.len());
@@ -164,15 +163,15 @@ proptest! {
         let spec = RrdSpec {
             step,
             start: 0,
-            data_sources: vec![DataSourceDef::gauge("m", step * 4)],
+            data_source: DataSourceDef::gauge("m", step * 4),
             archives: vec![RraDef::average(1, 64), RraDef::average(7, 64)],
         };
         let mut rrd = Rrd::create(spec).unwrap();
         for i in 1..=count as u64 {
-            rrd.update(i * step, &[value]).unwrap();
+            rrd.update(i * step, value).unwrap();
         }
         let end = count as u64 * step;
-        let series = rrd.fetch(0, ConsolidationFn::Average, 0, end).unwrap();
+        let series = rrd.fetch(ConsolidationFn::Average, 0, end).unwrap();
         for v in series.values.iter().filter(|v| !v.is_nan()) {
             prop_assert!((v - value).abs() < 1e-9);
         }

@@ -104,19 +104,21 @@ pub fn run_crash_replay(dir: &Path, params: &CrashParams) -> CrashReport {
     let _ = std::fs::remove_dir_all(dir);
     let interval = 15u64;
     let net = SimNet::new(params.seed);
-    let pseudo = PseudoGmond::new("meteor", params.hosts, params.seed ^ 0x6d65_7465, 0);
+    // A name with a space: its hosts' files reload under sanitized
+    // names, which recovery must map back to the polled ones.
+    let pseudo = PseudoGmond::new("meteor lab", params.hosts, params.seed ^ 0x6d65_7465, 0);
     let served = ServedPseudoCluster::serve(&net, pseudo, 1);
 
     let spec = move |key: &ganglia_rrd::MetricKey, start: u64| RrdSpec {
         step: interval,
         start,
-        data_sources: vec![DataSourceDef::gauge(key.metric.clone(), interval * 8)],
+        data_source: DataSourceDef::gauge(key.metric.clone(), interval * 8),
         archives: vec![RraDef::average(1, 64)],
     };
     let make_victim = || {
         let mut config = GmetadConfig::new("crashgrid")
             .with_source(
-                DataSourceCfg::new("meteor", served.addrs().to_vec())
+                DataSourceCfg::new("meteor lab", served.addrs().to_vec())
                     .expect("served cluster has addresses"),
             )
             .with_archive(ArchiveMode::Directory(dir.to_path_buf()))
@@ -129,7 +131,7 @@ pub fn run_crash_replay(dir: &Path, params: &CrashParams) -> CrashReport {
     let control = {
         let mut config = GmetadConfig::new("crashgrid")
             .with_source(
-                DataSourceCfg::new("meteor", served.addrs().to_vec())
+                DataSourceCfg::new("meteor lab", served.addrs().to_vec())
                     .expect("served cluster has addresses"),
             )
             .with_archive(ArchiveMode::InMemory);

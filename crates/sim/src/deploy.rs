@@ -158,7 +158,7 @@ impl Deployment {
                 Some(Arc::new(move |key, start| RrdSpec {
                     step: poll_interval,
                     start,
-                    data_sources: vec![DataSourceDef::gauge(key.metric.clone(), poll_interval * 8)],
+                    data_source: DataSourceDef::gauge(key.metric.clone(), poll_interval * 8),
                     archives: vec![RraDef::average(1, 64)],
                 })),
             );

@@ -80,7 +80,7 @@ pub fn run_limits(hosts: usize, metric_counts: &[usize], rounds: u64) -> LimitsR
             let mut set = RrdSet::with_spec_factory(|key, start| RrdSpec {
                 step: 15,
                 start,
-                data_sources: vec![DataSourceDef::gauge(key.metric.clone(), 120)],
+                data_source: DataSourceDef::gauge(key.metric.clone(), 120),
                 archives: vec![RraDef::average(1, 64)],
             });
             // Warm round creates the databases; measured rounds are the
