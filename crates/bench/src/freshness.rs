@@ -4,8 +4,10 @@
 //! Drives monitor chains of 2–4 levels under both poll orders
 //! (children-first best case, parents-first worst case) and both tree
 //! modes, reading root-visible age from the `freshness.*` instruments.
+//! One counted row prices the recording itself: allocations per host
+//! when a poller's recorder walks a warm report.
 
-use ganglia_core::freshness::record_freshness;
+use ganglia_core::freshness::{record_freshness, FreshnessRecorder};
 use ganglia_core::telemetry::json::JsonValue;
 use ganglia_core::telemetry::Registry;
 use ganglia_core::TreeMode;
@@ -13,7 +15,7 @@ use ganglia_metrics::model::{ClusterNode, GangliaDoc, HostNode};
 use ganglia_sim::experiments::{run_propagation_lag, PropagationParams, PropagationResult};
 use ganglia_sim::{chain_tree, Deployment, DeploymentParams};
 
-use crate::{Op, Params, Report, Row};
+use crate::{count_allocs, Op, Params, Report, Row};
 
 /// Drive a 2-level chain and fetch its root's trace log over the
 /// simulated network: round-correlated, monotone poll events from the
@@ -100,15 +102,45 @@ fn missing_ts_check() -> Result<(), String> {
     Ok(())
 }
 
+/// Allocations per host while one source's [`FreshnessRecorder`]
+/// records a 64-host cluster it has recorded before, as every poll
+/// after a source's first does: its instruments are resolved, so the
+/// walk should not touch the heap at all.
+fn warm_allocs_per_host() -> f64 {
+    const HOSTS: u64 = 64;
+    const ROUNDS: u64 = 16;
+    let registry = Registry::new();
+    let hosts: Vec<HostNode> = (0..HOSTS)
+        .map(|i| {
+            let mut host = HostNode::new(format!("h{i}"), "10.0.0.1");
+            host.reported = Some(1_000 + i % 15);
+            host
+        })
+        .collect();
+    let mut cluster = ClusterNode::with_hosts("warm", hosts);
+    cluster.localtime = Some(1_015);
+    let doc = GangliaDoc::gmond(cluster);
+    let mut recorder = FreshnessRecorder::new("warm");
+    recorder.record(&registry, &doc, 1_020);
+    let ((), allocs) = count_allocs(|| {
+        for round in 1..=ROUNDS {
+            recorder.record(&registry, &doc, 1_020 + round * 15);
+        }
+    });
+    allocs as f64 / (HOSTS * ROUNDS) as f64
+}
+
 /// The sweep as rows. Gates: every configuration's root age within
 /// `levels × interval + 1 s`; the parents-first order accumulating a
 /// full interval per monitor-to-monitor hop (an all-zero sweep would
 /// mean the instruments went inert, not that the tree is fresh); a
-/// nonzero worst age; and the trace and missing-stamp checks.
+/// nonzero worst age; the trace and missing-stamp checks; and at most
+/// 0.1 allocations per host for a warm recorder.
 pub fn freshness_rows(
     result: &PropagationResult,
     trace: &Result<(), String>,
     missing_ts: &Result<(), String>,
+    warm_allocs_per_host: f64,
 ) -> Vec<Row> {
     let mut rows = Vec::new();
     for r in &result.rows {
@@ -131,6 +163,14 @@ pub fn freshness_rows(
     rows.push(Row::new("sweep", "worst_age_s", result.worst_age_s()).gate(Op::Gt, 0));
     rows.push(Row::check("trace log", "ok", trace.is_ok()));
     rows.push(Row::check("missing stamps", "ok", missing_ts.is_ok()));
+    rows.push(
+        Row::new(
+            "recorder 64 hosts warm",
+            "allocs_per_host",
+            warm_allocs_per_host,
+        )
+        .gate(Op::Le, 0.1),
+    );
     rows
 }
 
@@ -156,6 +196,6 @@ pub fn run(p: &Params) -> Result<Report, String> {
             ("levels", format!("{:?}", params.levels)),
             ("intervals_s", format!("{:?}", params.poll_intervals)),
         ],
-        rows: freshness_rows(&result, &trace, &missing_ts),
+        rows: freshness_rows(&result, &trace, &missing_ts, warm_allocs_per_host()),
     })
 }

@@ -38,10 +38,11 @@ fn estimated_telemetry_overhead(total_samples: u64) -> Duration {
     per_op * total_samples.min(u64::from(u32::MAX)) as u32
 }
 
-/// Figure 5 as rows. Per monitor: CPU% and counted work, N-level
-/// against 1-level. Per monitor and design: the busy-time counter and
-/// count/p50/p99 of the latency histogram of each work category; fetch
-/// and parse must have recorded something. The run must cover the six
+/// Figure 5 as rows. Per monitor: CPU% and counted work, N-level on
+/// full-dump links (the paper's gmetad) against 1-level, and N-level on
+/// summary links against full-dump links. Per monitor and design: the
+/// busy-time counter and count/p50/p99 of the latency histogram of each
+/// work category; fetch and parse must have recorded something. The run must cover the six
 /// figure-2 monitors and instrumentation must cost under 5% of it.
 pub fn fig5_rows(result: &Fig5Result, telemetry_overhead_pct: f64) -> Vec<Row> {
     let mut rows = Vec::new();
@@ -54,6 +55,15 @@ pub fn fig5_rows(result: &Fig5Result, telemetry_overhead_pct: f64) -> Vec<Row> {
         rows.push(
             Row::new(m, "fetched_bytes", row.n_level_bytes_fetched).vs(row.one_level_bytes_fetched),
         );
+        // N-level again on summary links, against the full-dump bars.
+        let links = format!("{m} summary links");
+        rows.extend([
+            Row::new(&links, "cpu_pct", row.summary_link_pct).vs(row.n_level_pct),
+            Row::new(&links, "rrd_updates", row.summary_link_rrd_updates)
+                .vs(row.n_level_rrd_updates),
+            Row::new(&links, "fetched_bytes", row.summary_link_bytes_fetched)
+                .vs(row.n_level_bytes_fetched),
+        ]);
         for (design, snap) in [("1-level", &t.one_level), ("N-level", &t.n_level)] {
             let stage = format!("{m} {design}");
             for category in WorkCategory::ALL {
@@ -89,6 +99,24 @@ pub fn fig5_rows(result: &Fig5Result, telemetry_overhead_pct: f64) -> Vec<Row> {
             sum(|r| r.n_level_bytes_fetched),
         )
         .vs(sum(|r| r.one_level_bytes_fetched)),
+        Row::new(
+            "all monitors summary links",
+            "cpu_pct",
+            result.rows.iter().map(|r| r.summary_link_pct).sum::<f64>(),
+        )
+        .vs(n),
+        Row::new(
+            "all monitors summary links",
+            "rrd_updates",
+            sum(|r| r.summary_link_rrd_updates),
+        )
+        .vs(sum(|r| r.n_level_rrd_updates)),
+        Row::new(
+            "all monitors summary links",
+            "fetched_bytes",
+            sum(|r| r.summary_link_bytes_fetched),
+        )
+        .vs(sum(|r| r.n_level_bytes_fetched)),
         Row::new("all monitors", "monitors", result.telemetry.len()).gate(Op::Eq, 6),
         Row::new(
             "all monitors",
@@ -223,7 +251,10 @@ pub fn run_table1(p: &Params) -> Result<Report, String> {
 
 /// The limit measurements as rows: §5 archiving cost per metric count,
 /// sequential vs parallel poll rounds, §3.1 gmond bandwidth and §3.2
-/// upstream bytes per monitor (N-level against 1-level).
+/// upstream bytes per monitor: N-level on summary links and on full-dump
+/// links, each against 1-level. Gated: ucsd's summary links carry at
+/// most 5% of its full-dump bytes, and the N-level root renders the same
+/// bytes on both link modes.
 pub fn limits_rows(
     limits: &LimitsResult,
     scaling: &RoundScalingResult,
@@ -257,10 +288,33 @@ pub fn limits_rows(
         Row::new(&stage, "multicast_bytes", bandwidth.bytes),
     ]);
     for r in &traffic.rows {
-        rows.push(Row::new(&r.monitor, "upstream_bytes", r.n_level_bytes).vs(r.one_level_bytes));
+        rows.extend([
+            Row::new(&r.monitor, "upstream_bytes", r.summary_link_bytes).vs(r.one_level_bytes),
+            Row::new(&r.monitor, "full_dump_upstream_bytes", r.full_dump_bytes)
+                .vs(r.one_level_bytes),
+        ]);
     }
+    let ucsd = traffic.monitor("ucsd");
+    rows.push(
+        Row::new(
+            "ucsd links",
+            "summary_over_full_dump_x",
+            ucsd.summary_link_bytes as f64 / ucsd.full_dump_bytes.max(1) as f64,
+        )
+        .gate(Op::Le, 0.05),
+    );
+    rows.push(Row::check(
+        "link identity",
+        "root_render_identical",
+        traffic.root_render_identical,
+    ));
     rows
 }
+
+/// Hosts per cluster in the §3.2 traffic table, at every size: the
+/// summary-link share falls as C/H, so a smoke-size cluster would read
+/// the links' fixed per-source cost, not the ratio the gate bounds.
+const TRAFFIC_HOSTS: usize = 50;
 
 pub fn run_limits(p: &Params) -> Result<Report, String> {
     let hosts = p.get("hosts", 50, 10)?;
@@ -270,11 +324,12 @@ pub fn run_limits(p: &Params) -> Result<Report, String> {
     let limits = limits::run_limits(hosts, &[10, 20, 40, 80, 160], rounds);
     let scaling = run_round_scaling(sources, delay);
     let bandwidth = run_bandwidth(nodes, window_secs, 42);
-    let traffic = run_traffic(hosts, rounds, 42);
+    let traffic = run_traffic(TRAFFIC_HOSTS, rounds, 42);
     Ok(Report {
         experiment: "limits",
         params: vec![
             ("hosts", hosts.to_string()),
+            ("traffic_hosts", TRAFFIC_HOSTS.to_string()),
             ("rounds", rounds.to_string()),
             ("wire_delay_ms", delay.as_millis().to_string()),
             ("gmond_window_s", window_secs.to_string()),

@@ -44,6 +44,9 @@ fn fig5_result() -> Fig5Result {
                 n_level_rrd_updates: 10,
                 one_level_bytes_fetched: 200,
                 n_level_bytes_fetched: 100,
+                summary_link_pct: 0.5,
+                summary_link_rrd_updates: 10,
+                summary_link_bytes_fetched: 5,
             })
             .collect(),
         telemetry: monitors
@@ -150,13 +153,15 @@ fn every_gate_is_pinned() {
         kbps: 40.0,
     };
     let traffic = TrafficResult {
-        hosts_per_cluster: 10,
+        hosts_per_cluster: 50,
         rounds: 2,
         rows: vec![TrafficRow {
-            monitor: "root".into(),
-            one_level_bytes: 2,
-            n_level_bytes: 1,
+            monitor: "ucsd".into(),
+            one_level_bytes: 3_000,
+            full_dump_bytes: 1_000,
+            summary_link_bytes: 40,
         }],
+        root_render_identical: true,
     };
     all.extend(gates(
         "limits",
@@ -240,7 +245,7 @@ fn every_gate_is_pinned() {
     };
     all.extend(gates(
         "freshness",
-        &freshness::freshness_rows(&propagation, &Ok(()), &Ok(())),
+        &freshness::freshness_rows(&propagation, &Ok(()), &Ok(()), 0.0),
     ));
     let query = QueryResult {
         params_hosts: 64,
@@ -315,6 +320,8 @@ fn every_gate_is_pinned() {
         [
             "fig5 | all monitors | monitors | == 6",
             "fig5 | all monitors | telemetry_overhead_pct | < 5",
+            "limits | ucsd links | summary_over_full_dump_x | <= 0.05",
+            "limits | link identity | root_render_identical | == 1",
             "serving | full dump | speedup_x | >= 5",
             "serving | full dump | cache_hits | >= 320",
             "serving | stalled peers | good_client_p99_us | < 2000000",
@@ -345,6 +352,7 @@ fn every_gate_is_pinned() {
             "freshness | sweep | worst_age_s | > 0",
             "freshness | trace log | ok | == 1",
             "freshness | missing stamps | ok | == 1",
+            "freshness | recorder 64 hosts warm | allocs_per_host | <= 0.1",
             "query | churn 0% | delta_bytes | == 0",
             "query | churn 0% | max_push_lag_rounds | <= 1",
             "query | churn 0% | consistent | == 1",

@@ -1,11 +1,13 @@
 //! The standalone gmetad daemon.
 //!
 //! Reads a `gmetad.conf` (see [`ganglia_core::conf`] for the format),
-//! binds both TCP services — the full XML dump on `xml_port` (8651) and
-//! the query engine on `interactive_port` (8652) — through the
+//! binds both TCP services — the XML dump on `xml_port` (8651) and the
+//! query engine on `interactive_port` (8652) — through the
 //! `ganglia-serve` front tier (worker pool, revision-keyed response
 //! cache, admission control), and polls its data sources on the
-//! configured interval until killed.
+//! configured interval until killed. The `xml_port` answers
+//! `/?filter=summary` (what an N-level parent polls) with the grid in
+//! summary form, and any other request with the full dump.
 //!
 //! ```sh
 //! gmetad --conf /etc/ganglia/gmetad.conf

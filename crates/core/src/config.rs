@@ -89,6 +89,14 @@ pub struct GmetadConfig {
     pub authority_url: String,
     /// Tree design under test.
     pub tree_mode: TreeMode,
+    /// Under N-level, poll child gmetads for their full dump (`/`), as
+    /// the paper's gmetad did, instead of their per-source summaries
+    /// (`/?filter=summary`). The parent stores, archives and serves the
+    /// same bytes either way; only the link traffic and the child's
+    /// render differ. 1-level parents always poll `/`. Off by default:
+    /// only the paper-faithful N-level runs of figures 5 and 6 turn it
+    /// on.
+    pub full_dump_links: bool,
     /// Seconds between polls of each data source ("generally every 15
     /// seconds", paper §3.3.1).
     pub poll_interval: u64,
@@ -151,6 +159,7 @@ impl GmetadConfig {
             authority_url: format!("http://{grid_name}/ganglia/"),
             grid_name,
             tree_mode: TreeMode::NLevel,
+            full_dump_links: false,
             poll_interval: 15,
             fetch_timeout: Duration::from_secs(10),
             data_sources: Vec::new(),
@@ -191,6 +200,13 @@ impl GmetadConfig {
     /// Builder-style: set the tree mode.
     pub fn with_mode(mut self, mode: TreeMode) -> Self {
         self.tree_mode = mode;
+        self
+    }
+
+    /// The same configuration, polling child gmetads for full dumps
+    /// when `enabled` (see [`GmetadConfig::full_dump_links`]).
+    pub fn with_full_dump_links(mut self, enabled: bool) -> Self {
+        self.full_dump_links = enabled;
         self
     }
 

@@ -28,7 +28,7 @@
 //! and `publish_self` re-publishes the p99s as `self.*` metrics.
 
 use ganglia_metrics::model::{ClusterNode, GangliaDoc, GridBody, GridItem, GridNode};
-use ganglia_telemetry::Registry;
+use ganglia_telemetry::{Counter, HistogramHandle, Registry};
 
 /// Depth labels are capped so a pathological or adversarial tree can't
 /// mint unbounded histogram names; everything at or below this depth
@@ -37,54 +37,113 @@ const MAX_DEPTH_LABEL: usize = 8;
 
 /// Walk one ingested report and feed the `freshness.*` instruments.
 /// `now` is the poll wall-clock (the logical clock under the sim);
-/// depth 0 is the report's top-level item.
+/// depth 0 is the report's top-level item. A one-shot
+/// [`FreshnessRecorder`]: it resolves every instrument it records.
 pub fn record_freshness(registry: &Registry, source: &str, doc: &GangliaDoc, now: u64) {
-    let recorder = Recorder {
-        registry,
-        source,
-        now,
-    };
-    for item in &doc.items {
-        recorder.item(item, 0);
+    FreshnessRecorder::new(source).record(registry, doc, now);
+}
+
+/// One source's `freshness.*` instruments. Each handle is resolved from
+/// the registry the first time it records and kept, so a steady-state
+/// poll formats no instrument name and takes no registry lock. Keep one
+/// recorder per (registry, source) pair.
+#[derive(Debug)]
+pub struct FreshnessRecorder {
+    source: String,
+    age: AgeHistograms,
+    hop_lag: AgeHistograms,
+    missing_ts: Option<Counter>,
+    skew: Option<Counter>,
+}
+
+/// One kind of age (`age_s` or `hop_lag_s`) under its three names:
+/// global, per depth label, per source.
+#[derive(Debug, Default)]
+struct AgeHistograms {
+    all: Option<HistogramHandle>,
+    by_depth: [Option<HistogramHandle>; MAX_DEPTH_LABEL + 1],
+    by_source: Option<HistogramHandle>,
+}
+
+impl AgeHistograms {
+    fn record(&mut self, registry: &Registry, kind: &str, source: &str, depth: usize, age: u64) {
+        let d = depth.min(MAX_DEPTH_LABEL);
+        self.all
+            .get_or_insert_with(|| registry.histogram(&format!("freshness.{kind}")))
+            .record(age);
+        self.by_depth[d]
+            .get_or_insert_with(|| registry.histogram(&format!("freshness.depth{d}.{kind}")))
+            .record(age);
+        self.by_source
+            .get_or_insert_with(|| registry.histogram(&format!("freshness.source.{source}.{kind}")))
+            .record(age);
     }
 }
 
-struct Recorder<'a> {
+impl FreshnessRecorder {
+    /// A recorder for `source` that has resolved nothing yet.
+    pub fn new(source: &str) -> FreshnessRecorder {
+        FreshnessRecorder {
+            source: source.to_string(),
+            age: AgeHistograms::default(),
+            hop_lag: AgeHistograms::default(),
+            missing_ts: None,
+            skew: None,
+        }
+    }
+
+    /// Walk one ingested report of this source into `registry`.
+    pub fn record(&mut self, registry: &Registry, doc: &GangliaDoc, now: u64) {
+        let mut walk = Walk {
+            recorder: self,
+            registry,
+            now,
+        };
+        for item in &doc.items {
+            walk.item(item, 0);
+        }
+    }
+}
+
+struct Walk<'a> {
+    recorder: &'a mut FreshnessRecorder,
     registry: &'a Registry,
-    source: &'a str,
     now: u64,
 }
 
-impl Recorder<'_> {
+impl Walk<'_> {
     /// Age of a timestamp under the missing/skew policy: `None` when
     /// the attribute was absent (counted, skipped), clamped to 0 when
     /// the child's clock is ahead of ours (counted, clamped).
-    fn age_of(&self, stamp: Option<u64>) -> Option<u64> {
+    fn age_of(&mut self, stamp: Option<u64>) -> Option<u64> {
+        let registry = self.registry;
         match stamp {
             None => {
-                self.registry.counter("freshness.missing_ts").inc();
+                self.recorder
+                    .missing_ts
+                    .get_or_insert_with(|| registry.counter("freshness.missing_ts"))
+                    .inc();
                 None
             }
             Some(t) if t > self.now => {
-                self.registry.counter("freshness.skew_total").inc();
+                self.recorder
+                    .skew
+                    .get_or_insert_with(|| registry.counter("freshness.skew_total"))
+                    .inc();
                 Some(0)
             }
             Some(t) => Some(self.now - t),
         }
     }
 
-    fn depth_label(depth: usize) -> usize {
-        depth.min(MAX_DEPTH_LABEL)
-    }
-
-    fn item(&self, item: &GridItem, depth: usize) {
+    fn item(&mut self, item: &GridItem, depth: usize) {
         match item {
             GridItem::Cluster(c) => self.cluster(c, depth),
             GridItem::Grid(g) => self.grid(g, depth),
         }
     }
 
-    fn grid(&self, grid: &GridNode, depth: usize) {
+    fn grid(&mut self, grid: &GridNode, depth: usize) {
         self.record_hop(grid.localtime, depth);
         if let GridBody::Items(items) = &grid.body {
             for item in items {
@@ -93,34 +152,23 @@ impl Recorder<'_> {
         }
     }
 
-    fn cluster(&self, cluster: &ClusterNode, depth: usize) {
+    fn cluster(&mut self, cluster: &ClusterNode, depth: usize) {
         self.record_hop(cluster.localtime, depth);
         if let ganglia_metrics::model::ClusterBody::Hosts(hosts) = &cluster.body {
             for host in hosts {
                 if let Some(age) = self.age_of(host.reported) {
-                    let d = Self::depth_label(depth);
-                    self.registry.histogram("freshness.age_s").record(age);
-                    self.registry
-                        .histogram(&format!("freshness.depth{d}.age_s"))
-                        .record(age);
-                    self.registry
-                        .histogram(&format!("freshness.source.{}.age_s", self.source))
-                        .record(age);
+                    let r = &mut *self.recorder;
+                    r.age.record(self.registry, "age_s", &r.source, depth, age);
                 }
             }
         }
     }
 
-    fn record_hop(&self, localtime: Option<u64>, depth: usize) {
+    fn record_hop(&mut self, localtime: Option<u64>, depth: usize) {
         if let Some(lag) = self.age_of(localtime) {
-            let d = Self::depth_label(depth);
-            self.registry.histogram("freshness.hop_lag_s").record(lag);
-            self.registry
-                .histogram(&format!("freshness.depth{d}.hop_lag_s"))
-                .record(lag);
-            self.registry
-                .histogram(&format!("freshness.source.{}.hop_lag_s", self.source))
-                .record(lag);
+            let r = &mut *self.recorder;
+            r.hop_lag
+                .record(self.registry, "hop_lag_s", &r.source, depth, lag);
         }
     }
 }

@@ -37,7 +37,7 @@ use crate::config::{ArchiveMode, GmetadConfig};
 use crate::error::GmetadError;
 use crate::health::BreakerState;
 use crate::instrument::{WorkCategory, WorkMeter};
-use crate::poller::{RoundBudget, SourcePoller};
+use crate::poller::{poll_request, RoundBudget, SourcePoller, SUMMARY_REQUEST};
 use crate::query_engine;
 use crate::store::{Degradation, SourceState, SourceStatus, Store};
 
@@ -359,6 +359,7 @@ impl Gmetad {
         let outcome = poller.poll_bounded(
             transport,
             self.config.tree_mode,
+            poll_request(self.config.tree_mode, self.config.full_dump_links),
             self.config.fetch_timeout,
             &self.config.retry,
             &self.meter,
@@ -369,6 +370,7 @@ impl Gmetad {
         // probe ran) is near-free; its timing is kept apart so the real
         // per-round quantiles aren't diluted by no-op rounds.
         let idle = poller.polls_backoff != backoff_before;
+        let per_source = poller.round_histogram(&self.registry, idle);
         drop(poller);
         let result = match outcome {
             Ok(state) => {
@@ -434,20 +436,14 @@ impl Gmetad {
         // timing records under `round.poll_idle_us` (the span's drop
         // feeds the path-named histogram); real polls land in
         // `round.poll_us` with their outcome stamped for the trace log.
-        let per_source = if idle {
+        if idle {
             trace.set_path("round.poll_idle");
             trace.set_outcome("backoff");
-            "round_idle_us"
-        } else {
-            if result.is_err() {
-                trace.set_outcome("failed");
-            }
-            "round_us"
-        };
+        } else if result.is_err() {
+            trace.set_outcome("failed");
+        }
         drop(trace);
-        self.registry
-            .histogram(&format!("source.{name}.{per_source}"))
-            .record_duration(elapsed);
+        per_source.record_duration(elapsed);
         inflight.sub(1);
         result
     }
@@ -837,12 +833,18 @@ impl Gmetad {
         Arc::new(move |request: &str| daemon.query(request))
     }
 
-    /// A transport handler for the `xml_port` service: the full dump,
-    /// whatever the request line says — gmetad 2.5's behaviour, where
-    /// connecting to 8651 streams the whole tree.
+    /// A transport handler for the `xml_port` service. A root summary
+    /// query (`/?filter=summary`, what an N-level parent polls) gets the
+    /// grid in summary form; any other request gets the full dump —
+    /// gmetad 2.5's behaviour, where connecting to 8651 streams the
+    /// whole tree.
     pub fn dump_handler(self: &Arc<Self>) -> Arc<dyn RequestHandler> {
         let daemon = Arc::clone(self);
-        Arc::new(move |_request: &str| daemon.query("/"))
+        Arc::new(move |request: &str| {
+            let summary = Query::parse(request)
+                .is_ok_and(|q| q.is_root() && q.filter == Some(Filter::Summary));
+            daemon.query(if summary { SUMMARY_REQUEST } else { "/" })
+        })
     }
 
     /// Wrap the interactive (path-query) service in a serving front

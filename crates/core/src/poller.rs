@@ -24,12 +24,31 @@ use ganglia_metrics::model::{GridBody, GridNode, SummaryBody};
 use ganglia_metrics::{GridItem, Ingester};
 use ganglia_net::transport::{FetchBuffer, Transport};
 use ganglia_net::NetError;
+use ganglia_telemetry::{Counter, HistogramHandle, Registry};
 
 use crate::config::{DataSourceCfg, TreeMode};
 use crate::error::GmetadError;
+use crate::freshness::FreshnessRecorder;
 use crate::health::{endpoint_seed, BreakerState, EndpointHealth, RetryPolicy};
 use crate::instrument::{WorkCategory, WorkMeter};
 use crate::store::SourceState;
+
+/// The request an N-level parent sends every source: a gmetad answers
+/// it with its grid in summary form (every source's summary, O(C·m)),
+/// a gmond ignores its request line and sends its cluster.
+pub const SUMMARY_REQUEST: &str = "/?filter=summary";
+
+/// The request line a parent of `mode` polls its sources with. An
+/// N-level parent keeps only a remote grid's summary, so it asks for
+/// the summary form unless `full_dump_links` asks for the paper's full
+/// dump; a 1-level parent keeps everything and always asks for `/`.
+/// Either answer folds to the same stored state.
+pub fn poll_request(mode: TreeMode, full_dump_links: bool) -> &'static str {
+    match mode {
+        TreeMode::NLevel if !full_dump_links => SUMMARY_REQUEST,
+        _ => "/",
+    }
+}
 
 /// Wall-clock budget for one poll round. Each endpoint attempt's
 /// timeout is clamped to the remaining budget, so a hung source
@@ -95,6 +114,8 @@ pub struct SourcePoller {
     ingester: Ingester,
     /// Reusable response buffer (keeps its allocation across rounds).
     buf: FetchBuffer,
+    /// This source's instruments in the registry it is polled with.
+    instruments: Option<SourceInstruments>,
     /// Consecutive fully-failed rounds.
     pub consecutive_failures: u32,
     /// Lifetime counters.
@@ -123,6 +144,7 @@ impl SourcePoller {
             health,
             ingester: Ingester::new(),
             buf: FetchBuffer::new(),
+            instruments: None,
             consecutive_failures: 0,
             polls_ok: 0,
             polls_failed: 0,
@@ -152,7 +174,8 @@ impl SourcePoller {
     }
 
     /// One poll round: fetch (with fail-over and circuit breaking),
-    /// parse, and build the new snapshot. On total failure every
+    /// parse, and build the new snapshot. The request is what a default
+    /// gmetad of `mode` sends ([`poll_request`]). On total failure every
     /// attempted endpoint's error is reported.
     pub fn poll(
         &mut self,
@@ -166,6 +189,7 @@ impl SourcePoller {
         self.poll_bounded(
             transport,
             mode,
+            poll_request(mode, false),
             timeout,
             policy,
             meter,
@@ -174,15 +198,16 @@ impl SourcePoller {
         )
     }
 
-    /// [`SourcePoller::poll`] under a wall-clock [`RoundBudget`]: each
-    /// endpoint attempt's timeout is clamped to the remaining budget,
-    /// and once the budget is spent the remaining endpoints fail with
-    /// a timeout instead of being probed.
+    /// [`SourcePoller::poll`] sending `request`, under a wall-clock
+    /// [`RoundBudget`]: each endpoint attempt's timeout is clamped to
+    /// the remaining budget, and once the budget is spent the remaining
+    /// endpoints fail with a timeout instead of being probed.
     #[allow(clippy::too_many_arguments)]
     pub fn poll_bounded(
         &mut self,
         transport: &dyn Transport,
         mode: TreeMode,
+        request: &str,
         timeout: Duration,
         policy: &RetryPolicy,
         meter: &WorkMeter,
@@ -194,7 +219,7 @@ impl SourcePoller {
         // it is restored (with its allocation and size hint) either way.
         let mut buf = std::mem::take(&mut self.buf);
         let result = self.poll_inner(
-            transport, mode, timeout, policy, meter, now, budget, &mut buf,
+            transport, mode, request, timeout, policy, meter, now, budget, &mut buf,
         );
         self.buf = buf;
         result
@@ -205,6 +230,7 @@ impl SourcePoller {
         &mut self,
         transport: &dyn Transport,
         mode: TreeMode,
+        request: &str,
         timeout: Duration,
         policy: &RetryPolicy,
         meter: &WorkMeter,
@@ -214,42 +240,40 @@ impl SourcePoller {
     ) -> Result<SourceState, GmetadError> {
         let registry = std::sync::Arc::clone(meter.registry());
         let fetch_start = Instant::now();
-        let served_by =
-            match self.fetch_with_failover(transport, timeout, policy, meter, now, budget, buf) {
-                Ok(served) => served,
-                Err(failure) => {
-                    self.consecutive_failures += 1;
-                    if failure.deadline_hit {
-                        registry.counter("polls_deadline_total").inc();
-                    }
-                    if failure.breaker_idle {
-                        // Backoff round: nothing (or only the steady
-                        // probe) ran. Counted apart from real failures
-                        // so telemetry distinguishes "probed and
-                        // failed" from "backoff, did not probe".
-                        self.polls_backoff += 1;
-                        registry.counter("polls_backoff_total").inc();
-                    } else {
-                        self.polls_failed += 1;
-                        registry.counter("polls_failed_total").inc();
-                    }
-                    return Err(GmetadError::AllHostsFailed {
-                        source: self.cfg.name.clone(),
-                        errors: failure.errors,
-                    });
+        let served_by = match self
+            .fetch_with_failover(transport, request, timeout, policy, meter, now, budget, buf)
+        {
+            Ok(served) => served,
+            Err(failure) => {
+                self.consecutive_failures += 1;
+                if failure.deadline_hit {
+                    registry.counter("polls_deadline_total").inc();
                 }
-            };
+                if failure.breaker_idle {
+                    // Backoff round: nothing (or only the steady
+                    // probe) ran. Counted apart from real failures
+                    // so telemetry distinguishes "probed and
+                    // failed" from "backoff, did not probe".
+                    self.polls_backoff += 1;
+                    registry.counter("polls_backoff_total").inc();
+                } else {
+                    self.polls_failed += 1;
+                    registry.counter("polls_failed_total").inc();
+                }
+                return Err(GmetadError::AllHostsFailed {
+                    source: self.cfg.name.clone(),
+                    errors: failure.errors,
+                });
+            }
+        };
         // Per-source telemetry alongside the category-wide accounting:
         // fetch latency, bytes on the wire, parse latency.
-        let name = &self.cfg.name;
-        registry
-            .histogram(&format!("source.{name}.fetch_us"))
-            .record_duration(fetch_start.elapsed());
+        let fetch_elapsed = fetch_start.elapsed();
         let bytes = buf.len() as u64;
+        let source = self.instruments(&registry);
+        source.fetch_us().record_duration(fetch_elapsed);
         registry.counter("bytes_in_total").add(bytes);
-        registry
-            .counter(&format!("source.{name}.bytes_in_total"))
-            .add(bytes);
+        source.bytes_in().add(bytes);
         let parse_start = Instant::now();
         let ingested = match self.ingester.ingest(buf.as_str()) {
             Ok(ingested) => ingested,
@@ -279,8 +303,8 @@ impl SourcePoller {
             total.saturating_sub(stats.summarize_time),
         );
         meter.record_busy_only(WorkCategory::Summarize, stats.summarize_time);
-        registry
-            .histogram(&format!("source.{}.parse_us", self.cfg.name))
+        self.instruments(&registry)
+            .parse_us()
             .record_duration(total);
         registry.counter("ingest.bytes_total").add(stats.bytes);
         registry
@@ -305,7 +329,8 @@ impl SourcePoller {
         self.polls_ok += 1;
         self.consecutive_failures = 0;
         registry.counter("polls_ok_total").inc();
-        crate::freshness::record_freshness(&registry, &self.cfg.name, &ingested.doc, now);
+        self.instruments(&registry)
+            .record_freshness(&ingested.doc, now);
         Ok(build_state_prepared(
             &self.cfg.name,
             ingested.doc,
@@ -321,6 +346,7 @@ impl SourcePoller {
     fn fetch_with_failover(
         &mut self,
         transport: &dyn Transport,
+        request: &str,
         timeout: Duration,
         policy: &RetryPolicy,
         meter: &WorkMeter,
@@ -347,7 +373,9 @@ impl SourcePoller {
                 break;
             };
             attempted = true;
-            match self.try_endpoint(idx, transport, clamped, policy, meter, now, false, buf) {
+            match self.try_endpoint(
+                idx, transport, request, clamped, policy, meter, now, false, buf,
+            ) {
                 Ok(()) => {
                     if attempt > 0 {
                         self.failovers += 1;
@@ -373,8 +401,9 @@ impl SourcePoller {
                     deadline_hit = true;
                 }
                 Some(clamped) => {
-                    match self.try_endpoint(idx, transport, clamped, policy, meter, now, true, buf)
-                    {
+                    match self.try_endpoint(
+                        idx, transport, request, clamped, policy, meter, now, true, buf,
+                    ) {
                         Ok(()) => {
                             if idx != self.cursor {
                                 self.failovers += 1;
@@ -409,6 +438,7 @@ impl SourcePoller {
         &mut self,
         idx: usize,
         transport: &dyn Transport,
+        request: &str,
         timeout: Duration,
         policy: &RetryPolicy,
         meter: &WorkMeter,
@@ -419,7 +449,9 @@ impl SourcePoller {
         self.health[idx].begin_attempt(now);
         let addr = &self.cfg.addrs[idx];
         let start = Instant::now();
-        let result = transport.fetch_into(addr, "/", timeout, buf).map(|_| ());
+        let result = transport
+            .fetch_into(addr, request, timeout, buf)
+            .map(|_| ());
         let elapsed = start.elapsed();
         if forced {
             meter.record_busy_only(WorkCategory::Fetch, elapsed);
@@ -454,10 +486,116 @@ impl SourcePoller {
         if !was_open && matches!(self.health[idx].breaker, BreakerState::Open { .. }) {
             let registry = meter.registry();
             registry.counter("breaker_opens_total").inc();
-            registry
-                .counter(&format!("source.{}.breaker_opens_total", self.cfg.name))
-                .inc();
+            self.instruments(registry).breaker_opens().inc();
         }
+    }
+
+    /// This source's instruments, tied to `registry` the first time the
+    /// poller records anything; a gmetad polls each of its pollers with
+    /// its one meter.
+    fn instruments(&mut self, registry: &Arc<Registry>) -> &mut SourceInstruments {
+        let name = &self.cfg.name;
+        self.instruments
+            .get_or_insert_with(|| SourceInstruments::new(name, registry))
+    }
+
+    /// The histogram a finished poll slot's wall time goes to:
+    /// `source.<name>.round_idle_us` for a backoff round, else
+    /// `source.<name>.round_us`.
+    pub(crate) fn round_histogram(
+        &mut self,
+        registry: &Arc<Registry>,
+        idle: bool,
+    ) -> HistogramHandle {
+        let source = self.instruments(registry);
+        let (slot, suffix) = if idle {
+            (&mut source.round_idle_us, "round_idle_us")
+        } else {
+            (&mut source.round_us, "round_us")
+        };
+        histogram(&source.registry, &source.prefix, slot, suffix).clone()
+    }
+}
+
+/// One source's `source.<name>.*` and `freshness.*` instruments. Each
+/// is resolved from the registry the first time it records, so the
+/// registry holds exactly the names and values per-poll lookups gave,
+/// and then kept: a steady-state poll formats no instrument name.
+#[derive(Debug)]
+struct SourceInstruments {
+    registry: Arc<Registry>,
+    /// `source.<name>.`
+    prefix: String,
+    fetch_us: Option<HistogramHandle>,
+    bytes_in: Option<Counter>,
+    parse_us: Option<HistogramHandle>,
+    breaker_opens: Option<Counter>,
+    round_us: Option<HistogramHandle>,
+    round_idle_us: Option<HistogramHandle>,
+    freshness: FreshnessRecorder,
+}
+
+fn histogram<'a>(
+    registry: &Registry,
+    prefix: &str,
+    slot: &'a mut Option<HistogramHandle>,
+    suffix: &str,
+) -> &'a HistogramHandle {
+    slot.get_or_insert_with(|| registry.histogram(&format!("{prefix}{suffix}")))
+}
+
+fn counter<'a>(
+    registry: &Registry,
+    prefix: &str,
+    slot: &'a mut Option<Counter>,
+    suffix: &str,
+) -> &'a Counter {
+    slot.get_or_insert_with(|| registry.counter(&format!("{prefix}{suffix}")))
+}
+
+impl SourceInstruments {
+    fn new(source: &str, registry: &Arc<Registry>) -> SourceInstruments {
+        SourceInstruments {
+            registry: Arc::clone(registry),
+            prefix: format!("source.{source}."),
+            fetch_us: None,
+            bytes_in: None,
+            parse_us: None,
+            breaker_opens: None,
+            round_us: None,
+            round_idle_us: None,
+            freshness: FreshnessRecorder::new(source),
+        }
+    }
+
+    fn fetch_us(&mut self) -> &HistogramHandle {
+        histogram(&self.registry, &self.prefix, &mut self.fetch_us, "fetch_us")
+    }
+
+    fn bytes_in(&mut self) -> &Counter {
+        counter(
+            &self.registry,
+            &self.prefix,
+            &mut self.bytes_in,
+            "bytes_in_total",
+        )
+    }
+
+    fn parse_us(&mut self) -> &HistogramHandle {
+        histogram(&self.registry, &self.prefix, &mut self.parse_us, "parse_us")
+    }
+
+    fn breaker_opens(&mut self) -> &Counter {
+        counter(
+            &self.registry,
+            &self.prefix,
+            &mut self.breaker_opens,
+            "breaker_opens_total",
+        )
+    }
+
+    fn record_freshness(&mut self, doc: &ganglia_metrics::GangliaDoc, now: u64) {
+        self.freshness.record(&self.registry, doc, now);
     }
 }
 
@@ -765,6 +903,7 @@ mod tests {
             .poll_bounded(
                 &net,
                 TreeMode::NLevel,
+                "/",
                 TIMEOUT,
                 &RetryPolicy::default(),
                 &meter,
@@ -796,6 +935,7 @@ mod tests {
             .poll_bounded(
                 &net,
                 TreeMode::NLevel,
+                "/",
                 TIMEOUT,
                 &RetryPolicy::default(),
                 &meter,
@@ -821,6 +961,7 @@ mod tests {
             .poll_bounded(
                 &net,
                 TreeMode::NLevel,
+                "/",
                 Duration::from_secs(10),
                 &RetryPolicy::default(),
                 &meter,
@@ -838,6 +979,39 @@ mod tests {
         // breaker-counted.
         assert_eq!(poller.endpoint_health()[0].consecutive_failures, 1);
         assert_eq!(poller.polls_failed, 1);
+    }
+
+    #[test]
+    fn per_source_instruments_are_made_only_when_recorded() {
+        let net = SimNet::new(1);
+        let _g = serve_static(&net, "meteor/n0", cluster_xml("meteor", 2));
+        let mut poller =
+            SourcePoller::new(DataSourceCfg::new("meteor", vec![Addr::new("meteor/n0")]).unwrap());
+        let meter = WorkMeter::new();
+        for now in [10, 20] {
+            poller
+                .poll(
+                    &net,
+                    TreeMode::NLevel,
+                    TIMEOUT,
+                    &RetryPolicy::default(),
+                    &meter,
+                    now,
+                )
+                .unwrap();
+        }
+        let snap = meter.registry().snapshot();
+        let count = |name: &str| snap.histogram(name).map(|h| h.count);
+        assert_eq!(count("source.meteor.fetch_us"), Some(2));
+        assert_eq!(count("source.meteor.parse_us"), Some(2));
+        assert_eq!(count("freshness.source.meteor.age_s"), Some(4));
+        assert_eq!(count("freshness.depth0.hop_lag_s"), Some(2));
+        assert_eq!(
+            snap.counter("source.meteor.bytes_in_total"),
+            snap.counter("bytes_in_total")
+        );
+        // Nothing opened a breaker, so that instrument was never made.
+        assert_eq!(snap.counter("source.meteor.breaker_opens_total"), None);
     }
 
     #[test]

@@ -307,9 +307,12 @@ pub fn write_summary<W: fmt::Write>(summary: &SummaryBody, writer: &mut XmlWrite
 }
 
 /// Format a summary SUM: integer-valued sums print without a fraction so
-/// the output matches the paper's `SUM="20"` style.
+/// the output matches the paper's `SUM="20"` style. Every SUM parses
+/// back to the bits it was written from (NaN aside), `-0` included, so
+/// a parent folding a child's per-source summaries gets the sums the
+/// child folded.
 fn format_sum(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
+    if x == x.trunc() && x.abs() < 1e15 && !(x == 0.0 && x.is_sign_negative()) {
         format!("{}", x as i64)
     } else {
         format!("{x}")

@@ -28,6 +28,9 @@ use crate::topology::TreeSpec;
 #[derive(Debug, Clone)]
 pub struct DeploymentParams {
     pub mode: TreeMode,
+    /// N-level parents poll child gmetads for full dumps instead of
+    /// per-source summaries ([`GmetadConfig::full_dump_links`]).
+    pub full_dump_links: bool,
     /// Seconds between poll rounds (the paper's default is 15).
     pub poll_interval: u64,
     pub seed: u64,
@@ -48,6 +51,7 @@ impl Default for DeploymentParams {
     fn default() -> Self {
         DeploymentParams {
             mode: TreeMode::NLevel,
+            full_dump_links: false,
             poll_interval: 15,
             seed: 42,
             redundant_addrs: 2,
@@ -127,6 +131,7 @@ impl Deployment {
         for monitor in &tree.monitors {
             let mut config = GmetadConfig::new(&monitor.name)
                 .with_mode(params.mode)
+                .with_full_dump_links(params.full_dump_links)
                 .with_self_telemetry(params.self_telemetry)
                 .with_poll_concurrency(params.poll_concurrency);
             config.poll_interval = params.poll_interval;

@@ -46,6 +46,10 @@ impl Default for Fig5Params {
 /// One bar pair of figure 5, with the counted work behind each bar
 /// (RRD updates and report bytes fetched over the measured window).
 /// Timed CPU% swings with machine load; the counts do not.
+///
+/// The N-level bars are the paper's gmetad: parents poll full dumps.
+/// The `summary_link_*` columns are N-level with parents polling
+/// per-source summaries, which stores and archives the same data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     pub monitor: String,
@@ -55,6 +59,9 @@ pub struct Fig5Row {
     pub n_level_rrd_updates: u64,
     pub one_level_bytes_fetched: u64,
     pub n_level_bytes_fetched: u64,
+    pub summary_link_pct: f64,
+    pub summary_link_rrd_updates: u64,
+    pub summary_link_bytes_fetched: u64,
 }
 
 /// One monitor's self-telemetry under each design, captured over the
@@ -95,11 +102,12 @@ impl Fig5Result {
     }
 }
 
-fn measure(mode: TreeMode, params: &Fig5Params) -> Vec<MonitorWindow> {
+fn measure(mode: TreeMode, full_dump_links: bool, params: &Fig5Params) -> Vec<MonitorWindow> {
     Deployment::build(
         fig2_tree(params.hosts_per_cluster),
         DeploymentParams {
             mode,
+            full_dump_links,
             seed: params.seed,
             ..DeploymentParams::default()
         },
@@ -107,13 +115,15 @@ fn measure(mode: TreeMode, params: &Fig5Params) -> Vec<MonitorWindow> {
     .measure_window(params.warmup_rounds, params.measured_rounds)
 }
 
-/// Run the figure-5 experiment: both designs over the figure-2 tree.
+/// Run the figure-5 experiment: both designs over the figure-2 tree,
+/// N-level on full-dump links as the paper ran it and on summary links.
 pub fn run_fig5(params: &Fig5Params) -> Fig5Result {
-    let one_level = measure(TreeMode::OneLevel, params);
-    let n_level = measure(TreeMode::NLevel, params);
+    let one_level = measure(TreeMode::OneLevel, false, params);
+    let n_level = measure(TreeMode::NLevel, true, params);
+    let summary_links = measure(TreeMode::NLevel, false, params);
     let mut rows = Vec::new();
     let mut telemetry = Vec::new();
-    for (one, n) in one_level.into_iter().zip(n_level) {
+    for ((one, n), s) in one_level.into_iter().zip(n_level).zip(summary_links) {
         debug_assert_eq!(one.monitor, n.monitor);
         rows.push(Fig5Row {
             monitor: one.monitor.clone(),
@@ -123,6 +133,9 @@ pub fn run_fig5(params: &Fig5Params) -> Fig5Result {
             n_level_rrd_updates: n.rrd_updates,
             one_level_bytes_fetched: one.bytes_fetched,
             n_level_bytes_fetched: n.bytes_fetched,
+            summary_link_pct: s.cpu_pct,
+            summary_link_rrd_updates: s.rrd_updates,
+            summary_link_bytes_fetched: s.bytes_fetched,
         });
         telemetry.push(Fig5Telemetry {
             monitor: one.monitor,
@@ -182,6 +195,14 @@ mod tests {
         // saving is archive work alone.
         let ucsd = result.monitor("ucsd");
         assert!(ucsd.n_level_rrd_updates < ucsd.one_level_rrd_updates);
+
+        // Summary links archive exactly what full-dump links do, and
+        // every parent fetches less.
+        for row in &result.rows {
+            assert_eq!(row.summary_link_rrd_updates, row.n_level_rrd_updates);
+            assert!(row.summary_link_bytes_fetched <= row.n_level_bytes_fetched);
+        }
+        assert!(root.summary_link_bytes_fetched * 2 < root.n_level_bytes_fetched);
 
         // Aggregate work is lower under N-level (no duplicate archives).
         let total = |f: &dyn Fn(&Fig5Row) -> (u64, u64)| {

@@ -94,6 +94,8 @@ fn aggregate(mode: TreeMode, hosts: usize, params: &Fig6Params) -> (f64, u64, u6
         fig2_tree(hosts),
         DeploymentParams {
             mode,
+            // N-level as the paper's gmetad ran it: parents poll full dumps.
+            full_dump_links: true,
             seed: params.seed,
             ..DeploymentParams::default()
         },

@@ -19,7 +19,9 @@
 //! 1-level root sees host `REPORTED` stamps directly
 //! (`freshness.age_s`); the N-level root only sees its child's render
 //! clock, so the end-to-end age is the per-level `depth0.hop_lag_s`
-//! summed down the chain plus the leaf monitor's own host ages.
+//! summed down the chain plus the leaf monitor's own host ages. That
+//! reading needs no host stamp above the leaf monitor, so it is the
+//! same on summary links (which carry none) and full-dump links.
 
 use ganglia_core::TreeMode;
 
@@ -40,6 +42,8 @@ pub struct PropagationParams {
     /// root at all).
     pub steady_rounds: u64,
     pub seed: u64,
+    /// N-level parents poll full dumps instead of per-source summaries.
+    pub full_dump_links: bool,
 }
 
 impl Default for PropagationParams {
@@ -50,6 +54,7 @@ impl Default for PropagationParams {
             hosts: 8,
             steady_rounds: 4,
             seed: 42,
+            full_dump_links: false,
         }
     }
 }
@@ -133,6 +138,7 @@ fn measure(
         chain_tree(levels, params.hosts),
         DeploymentParams {
             mode,
+            full_dump_links: params.full_dump_links,
             poll_interval,
             seed: params.seed,
             archive: false,
@@ -183,6 +189,7 @@ mod tests {
             hosts: 4,
             steady_rounds: 3,
             seed: 7,
+            full_dump_links: false,
         });
         assert_eq!(result.rows.len(), 2 * 2 * 2);
         for row in &result.rows {
@@ -208,6 +215,7 @@ mod tests {
             hosts: 4,
             steady_rounds: 4,
             seed: 7,
+            full_dump_links: false,
         };
         let result = run_propagation_lag(&params);
         for mode in [TreeMode::NLevel, TreeMode::OneLevel] {
@@ -226,5 +234,24 @@ mod tests {
             // adds a full poll interval.
             assert_eq!(age_of(true), 30, "{mode:?} worst case");
         }
+    }
+
+    #[test]
+    fn root_visible_age_is_the_same_on_both_link_modes() {
+        let params = PropagationParams {
+            levels: vec![2, 3],
+            poll_intervals: vec![15],
+            hosts: 4,
+            steady_rounds: 3,
+            seed: 7,
+            full_dump_links: false,
+        };
+        let summary_links = run_propagation_lag(&params);
+        let full_dumps = run_propagation_lag(&PropagationParams {
+            full_dump_links: true,
+            ..params
+        });
+        assert_eq!(summary_links, full_dumps);
+        assert!(summary_links.worst_age_s() > 0);
     }
 }

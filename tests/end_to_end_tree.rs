@@ -159,9 +159,10 @@ fn upstream_traffic_is_bounded_by_summaries() {
     one.run_rounds(1);
     let one_bytes = one.net().stats().get(&one.gmeta_addr("ucsd")).bytes_served;
 
-    // ucsd reports its two local clusters at full detail either way;
-    // the saving comes from its four descendant clusters (physics's and
-    // math's) collapsing to summaries: 6 clusters of traffic become ~2.
+    // Under 1-level ucsd sends its two local clusters and its four
+    // descendant clusters (physics's and math's) at full detail. Under
+    // N-level its parent polls `/?filter=summary`, so every one of its
+    // four sources goes upstream in summary form.
     assert!(
         n_bytes * 2 < one_bytes,
         "ucsd served {n_bytes} bytes upstream under N-level vs {one_bytes} under 1-level"
