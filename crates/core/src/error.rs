@@ -16,6 +16,11 @@ pub enum GmetadError {
     },
     /// A child served XML that does not parse as a Ganglia document.
     BadReport { source: String, error: ParseError },
+    /// A child served a well-formed document with no `CLUSTER` or
+    /// `GRID` in it. No producer sends that as data: a gmond reports
+    /// its cluster and a gmetad always opens its grid. It is how a
+    /// serving tier refuses a poll (shed, rate limited, queue full).
+    EmptyReport { source: String },
     /// Archiving failed.
     Archive(ganglia_rrd::RrdError),
     /// A query string was malformed.
@@ -34,6 +39,12 @@ impl fmt::Display for GmetadError {
             }
             GmetadError::BadReport { source, error } => {
                 write!(f, "source {source:?} served a bad report: {error}")
+            }
+            GmetadError::EmptyReport { source } => {
+                write!(
+                    f,
+                    "source {source:?} served a report with no CLUSTER or GRID"
+                )
             }
             GmetadError::Archive(e) => write!(f, "archive failure: {e}"),
             GmetadError::BadQuery(e) => write!(f, "bad query: {e}"),

@@ -276,20 +276,25 @@ impl SourcePoller {
         source.bytes_in().add(bytes);
         let parse_start = Instant::now();
         let ingested = match self.ingester.ingest(buf.as_str()) {
-            Ok(ingested) => ingested,
-            Err(error) => {
+            Ok(ingested) if !ingested.doc.items.is_empty() => ingested,
+            failed => {
                 meter.record(WorkCategory::Parse, parse_start.elapsed());
                 // A garbage or truncated report counts against the
                 // endpoint that served it: enough of them in a row and
-                // its breaker opens, failing the source over.
+                // its breaker opens, failing the source over. So does
+                // a refusal: storing its empty document would replace
+                // the last good snapshot with zero hosts.
                 self.record_failure_counting_transitions(served_by, now, policy, meter);
                 self.polls_failed += 1;
                 self.consecutive_failures += 1;
                 registry.counter("polls_failed_total").inc();
-                registry.counter("parse_errors_total").inc();
-                return Err(GmetadError::BadReport {
-                    source: self.cfg.name.clone(),
-                    error,
+                let source = self.cfg.name.clone();
+                return Err(match failed {
+                    Err(error) => {
+                        registry.counter("parse_errors_total").inc();
+                        GmetadError::BadReport { source, error }
+                    }
+                    Ok(_) => GmetadError::EmptyReport { source },
                 });
             }
         };

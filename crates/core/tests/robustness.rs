@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ganglia_core::{DataSourceCfg, Gmetad, GmetadConfig, SourceData};
+use ganglia_core::{DataSourceCfg, Gmetad, GmetadConfig, GmetadError, SourceData};
 use ganglia_metrics::parse_document;
 use ganglia_net::transport::Transport;
 use ganglia_net::{Addr, SimNet};
@@ -35,17 +35,20 @@ fn daemon(_net: &Arc<SimNet>, addr: &str) -> Arc<Gmetad> {
 }
 
 #[test]
-fn empty_report_is_a_valid_empty_source() {
+fn a_report_with_no_cluster_or_grid_is_a_failed_poll() {
+    // No producer sends such a report as data: it is how a serving tier
+    // refuses a poll. Storing it would show the source with zero hosts.
     let net = SimNet::new(1);
     let (body, _guard) = serve_canned(&net, "child/n0");
     *body.lock() = r#"<GANGLIA_XML VERSION="2.5.4" SOURCE="gmond"></GANGLIA_XML>"#.into();
     let gmetad = daemon(&net, "child/n0");
-    gmetad.poll_all(&net, 15)[0]
-        .as_ref()
-        .expect("empty is legal");
-    let state = gmetad.store().get("child").expect("present");
-    assert_eq!(state.host_count(), 0);
-    assert_eq!(state.summary.hosts_total(), 0);
+    let results = gmetad.poll_all(&net, 15);
+    assert!(
+        matches!(&results[0], Err(GmetadError::EmptyReport { source }) if source == "child"),
+        "{results:?}"
+    );
+    assert!(gmetad.store().get("child").is_none());
+    assert_eq!(gmetad.poller_stats()[0].polls_failed, 1);
     // Queries still answer.
     let xml = gmetad.query("/");
     assert!(parse_document(&xml).is_ok());

@@ -15,6 +15,16 @@
 //!   gmetad wire protocol (one request line, XML response, close), for
 //!   running an actual distributed deployment.
 //!
+//! [`tcp`] owns every socket in the workspace: the one bounded server
+//! ([`tcp::serve_bounded`]) that every port runs on, the one dial
+//! ([`tcp::dial`]) and the one socket-error taxonomy
+//! ([`tcp::classify`]). A fixed set of workers drains a bounded queue;
+//! each request line must arrive complete within the read deadline and
+//! fit in [`tcp::MAX_LINE`] bytes. [`TcpTransport::serve`] runs the
+//! one-shot protocol on it and refuses a connection it has no room for
+//! by closing it without a body; `ganglia-serve` runs the serving tier's
+//! protocol on it and refuses with an `overloaded` document.
+//!
 //! [`McastBus`] models the local-area UDP multicast channel gmond agents
 //! use to exchange metric packets within a cluster, with configurable
 //! packet loss.

@@ -1,29 +1,397 @@
-//! Real TCP transport over `std::net`.
+//! Real TCP over `std::net`: the one server every port runs on, the one
+//! dial every client uses, and the one socket-error taxonomy.
 //!
-//! Implements the gmetad wire protocol: the client connects, sends one
-//! request line (possibly empty for a full dump), half-closes, and reads
-//! the XML response until EOF — "XML streams sent over TCP connections"
-//! (paper §1, fig 1). Addresses are `host:port` socket addresses;
-//! binding to port 0 picks an ephemeral port, reported by the guard.
+//! Every Ganglia link is the same exchange, "XML streams sent over TCP
+//! connections" (paper §1, fig 1): the client connects, sends a request
+//! line, and reads XML back. [`serve_bounded`] is the only server. One
+//! accept thread feeds a bounded queue drained by a fixed set of
+//! workers; every connection carries read and write deadlines; a full
+//! queue refuses new arrivals at the door instead of growing; and the
+//! guard drains in-flight connections on drop. The protocol a worker
+//! runs on a connection is a function the caller passes in:
+//!
+//! * [`TcpTransport::serve`] runs the one-shot protocol (one request
+//!   line, one XML document, close) at the [`ServerLimits::default`]
+//!   limits. A connection refused at the door is closed without a body,
+//!   so the client sees a failed exchange, never an empty document.
+//! * `ganglia_serve::PooledServer` runs the serving tier's protocol
+//!   (keep-alive, subscriptions, cache, admission) at the limits of its
+//!   `ServeOptions`, and refuses with an `overloaded` document.
+//!
+//! Every request line is read through [`Conn::read_line`], which bounds
+//! it in time (complete within the read deadline) and in size
+//! ([`MAX_LINE`]): a peer that drips bytes or never sends a newline
+//! costs one worker for at most one deadline. Clients connect through
+//! [`dial`] and map socket failures through [`classify`]. Addresses are
+//! `host:port` socket addresses; binding port 0 picks an ephemeral port,
+//! reported by the guard.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvError, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::addr::Addr;
 use crate::error::NetError;
 use crate::transport::{FetchBuffer, RequestHandler, ServerGuard, Transport};
 
-/// Per-connection read and write deadlines: a peer that stalls
-/// mid-request or stops draining its response holds a connection thread
-/// for at most this long.
-const CONN_DEADLINE: Duration = Duration::from_secs(10);
+/// The longest request line a server reads, terminator included. Lines
+/// are a path or a GQL expression, so 64 KiB is ample; a longer line
+/// cuts the connection off.
+pub const MAX_LINE: usize = 64 * 1024;
 
-/// How long a dropped guard waits for in-flight connections to finish
-/// before detaching them.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+/// How long the accept thread spends writing a refusal before it
+/// closes the connection.
+const REFUSE_DEADLINE: Duration = Duration::from_millis(500);
+
+/// Sizing and deadlines of one bound port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerLimits {
+    /// Worker threads serving connections (at least one runs).
+    pub workers: usize,
+    /// Accepted connections that may wait for a free worker; the next
+    /// arrival is refused at the door.
+    pub queue_depth: usize,
+    /// A request line must arrive complete within this long, counted
+    /// from when the worker starts reading it. A silent, idle or
+    /// dripping peer is dropped after it.
+    pub read_timeout: Duration,
+    /// Every write of a response must make progress within this long.
+    pub write_timeout: Duration,
+    /// How long a dropped guard waits for in-flight connections to
+    /// finish before detaching them.
+    pub drain_deadline: Duration,
+}
+
+impl Default for ServerLimits {
+    /// 4 workers and a queue of 64, 10 s read and write deadlines, and
+    /// a 2 s drain.
+    fn default() -> Self {
+        ServerLimits {
+            workers: 4,
+            queue_depth: 64,
+            read_timeout: Duration::from_secs(10),
+            write_timeout: Duration::from_secs(10),
+            drain_deadline: Duration::from_secs(2),
+        }
+    }
+}
+
+/// One accepted connection as a worker serves it: a buffered reader
+/// over the socket, with the socket's read and write deadlines set.
+/// Responses are written straight to [`Conn::stream`].
+pub struct Conn {
+    reader: BufReader<TcpStream>,
+    read_timeout: Duration,
+    line: Vec<u8>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream, limits: &ServerLimits) -> io::Result<Conn> {
+        stream.set_read_timeout(Some(limits.read_timeout))?;
+        stream.set_write_timeout(Some(limits.write_timeout))?;
+        // A keep-alive frame header and body go out as separate writes;
+        // with Nagle on, the short header waits for the peer's delayed
+        // ACK and every round trip eats ~40 ms.
+        let _ = stream.set_nodelay(true);
+        Ok(Conn {
+            reader: BufReader::new(stream),
+            read_timeout: limits.read_timeout,
+            line: Vec::new(),
+        })
+    }
+
+    /// The socket: write responses to it (`&TcpStream` is `Write`) or
+    /// ask it for the peer's address.
+    pub fn stream(&self) -> &TcpStream {
+        self.reader.get_ref()
+    }
+
+    /// Read one request line into `line`, without its trailing `\r`s
+    /// and `\n`s, and return the bytes it took off the wire: 0 means
+    /// the peer closed before sending anything, and a line cut short
+    /// by the peer's close is returned as is.
+    ///
+    /// The line must arrive complete within the read deadline, counted
+    /// from this call, or the read fails with `TimedOut` (or the
+    /// socket's `WouldBlock`); it must fit in [`MAX_LINE`] bytes or the
+    /// read fails with `InvalidData`. Either way the caller drops the
+    /// connection.
+    pub fn read_line(&mut self, line: &mut String) -> io::Result<usize> {
+        line.clear();
+        self.line.clear();
+        let until = Instant::now() + self.read_timeout;
+        loop {
+            if self.reader.buffer().is_empty() {
+                // The socket's timeout bounds one read; re-arming it with
+                // what is left of the line's deadline bounds the line.
+                let left = until.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "request line incomplete at the read deadline",
+                    ));
+                }
+                self.reader.get_ref().set_read_timeout(Some(left))?;
+            }
+            let available = match self.reader.fill_buf() {
+                Ok(available) => available,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                break; // the peer closed
+            }
+            let (taken, complete) = match available.iter().position(|&b| b == b'\n') {
+                Some(newline) => (newline + 1, true),
+                None => (available.len(), false),
+            };
+            if self.line.len() + taken > MAX_LINE {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("request line longer than {MAX_LINE} bytes"),
+                ));
+            }
+            self.line.extend_from_slice(&available[..taken]);
+            self.reader.consume(taken);
+            if complete {
+                break;
+            }
+        }
+        let text = std::str::from_utf8(&self.line)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "request line is not UTF-8"))?;
+        line.push_str(text.trim_end_matches(['\r', '\n']));
+        Ok(self.line.len())
+    }
+
+    /// Write a whole response, then half-close: the one-shot protocol's
+    /// "one document, then EOF".
+    pub fn respond(&mut self, body: &[u8]) -> io::Result<()> {
+        let mut stream = self.stream();
+        stream.write_all(body)?;
+        let _ = stream.shutdown(Shutdown::Write);
+        Ok(())
+    }
+
+    /// Whether the peer has closed or its socket failed, checked without
+    /// blocking for more than a millisecond. Stray input is read and
+    /// discarded.
+    pub fn peer_gone(&mut self) -> bool {
+        if self
+            .stream()
+            .set_read_timeout(Some(Duration::from_millis(1)))
+            .is_err()
+        {
+            return true;
+        }
+        let mut probe = [0u8; 64];
+        match self.reader.read(&mut probe) {
+            Ok(0) => true,
+            Ok(_) => false,
+            Err(e) => !is_timeout(&e),
+        }
+    }
+}
+
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+    )
+}
+
+/// Bind `addr` and serve it on the bounded server: an accept thread,
+/// `limits.workers` workers and a queue of `limits.queue_depth`
+/// accepted connections.
+///
+/// A worker hands each connection to `serve`. When every worker is busy
+/// and the queue is full, the accept thread hands the new connection to
+/// `refuse` instead, with a short write deadline, and closes it
+/// afterwards; a `refuse` that writes nothing closes it without a body.
+/// Dropping the returned guard stops accepting, lets the workers finish
+/// what was accepted, and waits for them up to `limits.drain_deadline`.
+pub fn serve_bounded(
+    addr: &Addr,
+    limits: ServerLimits,
+    serve: impl Fn(&mut Conn) + Send + Sync + 'static,
+    refuse: impl Fn(&mut TcpStream) + Send + 'static,
+) -> Result<Box<dyn ServerGuard>, NetError> {
+    let listener = TcpListener::bind(addr.as_str()).map_err(|e| match e.kind() {
+        io::ErrorKind::AddrInUse => NetError::AddrInUse(addr.clone()),
+        _ => NetError::Io(e.to_string()),
+    })?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| NetError::Io(e.to_string()))?;
+    let (queue, pending) = mpsc::sync_channel::<TcpStream>(limits.queue_depth);
+    // std's channel is single-consumer, so the workers share its
+    // receiver behind a mutex, held only to take one connection.
+    let pending = Arc::new(Mutex::new(pending));
+    let serve = Arc::new(serve);
+    // Each worker holds a sender; the receiver disconnects once every
+    // worker has exited, even on unwind.
+    let (alive, exited) = mpsc::channel::<()>();
+    let workers = (0..limits.workers.max(1))
+        .map(|index| {
+            let pending = Arc::clone(&pending);
+            let serve = Arc::clone(&serve);
+            let alive = alive.clone();
+            std::thread::Builder::new()
+                .name(format!("gnet-worker-{local}-{index}"))
+                .spawn(move || {
+                    let _alive = alive;
+                    while let Ok(stream) = next_connection(&pending) {
+                        if let Ok(mut conn) = Conn::new(stream, &limits) {
+                            // A panicking protocol costs its connection,
+                            // not the worker: the pool never shrinks.
+                            let _ = panic::catch_unwind(AssertUnwindSafe(|| serve(&mut conn)));
+                        }
+                    }
+                })
+                .map_err(|e| NetError::Io(e.to_string()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let accept = std::thread::Builder::new()
+        .name(format!("gnet-accept-{local}"))
+        .spawn(move || accept_loop(&listener, queue, &refuse, &stopped))
+        .map_err(|e| NetError::Io(e.to_string()))?;
+    Ok(Box::new(BoundedGuard {
+        local,
+        stop,
+        accept: Some(accept),
+        workers,
+        exited,
+        drain_deadline: limits.drain_deadline,
+    }))
+}
+
+/// Take the next queued connection; the lock is released before the
+/// connection is served.
+fn next_connection(pending: &Mutex<Receiver<TcpStream>>) -> Result<TcpStream, RecvError> {
+    pending.lock().unwrap_or_else(|e| e.into_inner()).recv()
+}
+
+fn accept_loop(
+    listener: &TcpListener,
+    queue: SyncSender<TcpStream>,
+    refuse: &dyn Fn(&mut TcpStream),
+    stop: &AtomicBool,
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return; // dropping `queue` lets the workers drain and exit
+        }
+        let Ok((stream, _peer)) = accepted else {
+            continue;
+        };
+        match queue.try_send(stream) {
+            Ok(()) => {}
+            Err(TrySendError::Full(mut stream)) => {
+                let _ = stream.set_write_timeout(Some(REFUSE_DEADLINE));
+                refuse(&mut stream);
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            Err(TrySendError::Disconnected(_)) => return,
+        }
+    }
+}
+
+/// Guard for a port served by [`serve_bounded`].
+struct BoundedGuard {
+    local: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+    exited: Receiver<()>,
+    drain_deadline: Duration,
+}
+
+impl ServerGuard for BoundedGuard {
+    fn addr(&self) -> Addr {
+        Addr::new(self.local.to_string())
+    }
+}
+
+impl Drop for BoundedGuard {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Poke the listener so the accept thread notices the stop flag.
+        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(200));
+        if let Some(thread) = self.accept.take() {
+            let _ = thread.join();
+        }
+        // The accept thread's exit closed the queue, so the workers
+        // serve what was already accepted and stop. One still stuck on
+        // a slow peer past the drain deadline is detached; the
+        // connection's deadlines bound it.
+        if let Err(RecvTimeoutError::Disconnected) = self.exited.recv_timeout(self.drain_deadline) {
+            for worker in self.workers.drain(..) {
+                let _ = worker.join();
+            }
+        }
+    }
+}
+
+/// Connect to `addr`, a numeric `host:port`, within `timeout`, which
+/// also becomes the connection's read and write deadline. Nagle is off:
+/// request lines are tiny, and a held one waits for a delayed ACK. A
+/// connect that times out is a [`NetError::Timeout`]; any other connect
+/// failure means no endpoint answered, [`NetError::Unreachable`].
+pub fn dial(addr: &Addr, timeout: Duration) -> Result<TcpStream, NetError> {
+    let socket_addr: SocketAddr = addr
+        .as_str()
+        .parse()
+        .map_err(|e| NetError::Io(format!("bad socket address {addr}: {e}")))?;
+    let stream = TcpStream::connect_timeout(&socket_addr, timeout).map_err(|e| match e.kind() {
+        io::ErrorKind::TimedOut => NetError::Timeout(addr.clone()),
+        _ => NetError::Unreachable(addr.clone()),
+    })?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        .map_err(|e| NetError::Io(e.to_string()))?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+/// What a failed read or write on a connection to `addr` means for the
+/// exchange:
+///
+/// * the deadline passed (`TimedOut`, `WouldBlock`):
+///   [`NetError::Timeout`];
+/// * the peer refused, reset or closed the connection under us
+///   (`ConnectionRefused`, `ConnectionReset`, `BrokenPipe`,
+///   `UnexpectedEof`): [`NetError::Unreachable`];
+/// * anything else: [`NetError::Io`].
+pub fn classify(addr: &Addr, e: io::Error) -> NetError {
+    match e.kind() {
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => NetError::Timeout(addr.clone()),
+        io::ErrorKind::ConnectionRefused
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::BrokenPipe
+        | io::ErrorKind::UnexpectedEof => NetError::Unreachable(addr.clone()),
+        _ => NetError::Io(e.to_string()),
+    }
+}
+
+/// The one-shot protocol over `handler`: read one request line, write
+/// the handler's response, half-close. A connection whose line breaks
+/// its bounds is dropped without a response.
+fn one_shot(handler: Arc<dyn RequestHandler>) -> impl Fn(&mut Conn) + Send + Sync + 'static {
+    move |conn: &mut Conn| {
+        let mut request = String::new();
+        if conn.read_line(&mut request).is_ok() {
+            let _ = conn.respond(handler.handle(&request).as_bytes());
+        }
+    }
+}
 
 /// Transport over real TCP sockets.
 #[derive(Debug, Default, Clone, Copy)]
@@ -36,112 +404,16 @@ impl TcpTransport {
     }
 }
 
-/// In-flight connection count, so the guard can drain on drop.
-struct ConnTracker {
-    active: Mutex<usize>,
-    done: Condvar,
-}
-
-impl ConnTracker {
-    fn enter(self: &Arc<Self>) -> ConnGuard {
-        *self.active.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        ConnGuard(Arc::clone(self))
-    }
-
-    /// Wait until no connection is in flight or `deadline` passes;
-    /// returns whether everything drained.
-    fn wait_drained(&self, deadline: Duration) -> bool {
-        let until = Instant::now() + deadline;
-        let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
-        while *active > 0 {
-            let now = Instant::now();
-            if now >= until {
-                return false;
-            }
-            active = self
-                .done
-                .wait_timeout(active, until - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        true
-    }
-}
-
-/// Decrements the in-flight count when a connection finishes, even on
-/// unwind.
-struct ConnGuard(Arc<ConnTracker>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        *self.0.active.lock().unwrap_or_else(|e| e.into_inner()) -= 1;
-        self.0.done.notify_all();
-    }
-}
-
-/// Guard for a bound TCP endpoint; stops the accept loop when dropped
-/// and drains in-flight connections with a deadline.
-struct TcpServerGuard {
-    local: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-    tracker: Arc<ConnTracker>,
-}
-
-impl ServerGuard for TcpServerGuard {
-    fn addr(&self) -> Addr {
-        Addr::new(self.local.to_string())
-    }
-}
-
-impl Drop for TcpServerGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Poke the listener so the accept loop notices the stop flag.
-        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(200));
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-        // Give responses already being written a chance to finish.
-        // Connections still alive past the deadline are detached; their
-        // threads die with the per-connection read/write deadlines.
-        let _ = self.tracker.wait_drained(DRAIN_DEADLINE);
-    }
-}
-
 impl Transport for TcpTransport {
+    /// Serve `handler` with the one-shot protocol (one request line,
+    /// one response, half-close) on the bounded server at the default
+    /// limits.
     fn serve(
         &self,
         addr: &Addr,
         handler: Arc<dyn RequestHandler>,
     ) -> Result<Box<dyn ServerGuard>, NetError> {
-        let listener = TcpListener::bind(addr.as_str()).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::AddrInUse {
-                NetError::AddrInUse(addr.clone())
-            } else {
-                NetError::Io(e.to_string())
-            }
-        })?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_for_thread = Arc::clone(&stop);
-        let tracker = Arc::new(ConnTracker {
-            active: Mutex::new(0),
-            done: Condvar::new(),
-        });
-        let tracker_for_thread = Arc::clone(&tracker);
-        let thread = std::thread::Builder::new()
-            .name(format!("gmeta-serve-{local}"))
-            .spawn(move || accept_loop(listener, handler, stop_for_thread, tracker_for_thread))
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        Ok(Box::new(TcpServerGuard {
-            local,
-            stop,
-            thread: Some(thread),
-            tracker,
-        }))
+        serve_bounded(addr, ServerLimits::default(), one_shot(handler), |_| {})
     }
 
     fn fetch(&self, addr: &Addr, request: &str, timeout: Duration) -> Result<String, NetError> {
@@ -153,7 +425,9 @@ impl Transport for TcpTransport {
     /// Streaming fetch into a reusable buffer: the response is read
     /// directly into `buf`, which was pre-reserved to the previous
     /// response's size — steady-state polls of the same child reuse one
-    /// allocation instead of growing a fresh `String` from empty.
+    /// allocation instead of growing a fresh `String` from empty. A
+    /// connection closed without a body (a server refusing at the door)
+    /// is a failed exchange.
     fn fetch_into(
         &self,
         addr: &Addr,
@@ -161,93 +435,36 @@ impl Transport for TcpTransport {
         timeout: Duration,
         buf: &mut FetchBuffer,
     ) -> Result<usize, NetError> {
-        let socket_addr: SocketAddr = addr
-            .as_str()
-            .parse()
-            .map_err(|e| NetError::Io(format!("bad socket address {addr}: {e}")))?;
-        let stream = TcpStream::connect_timeout(&socket_addr, timeout).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::TimedOut {
-                NetError::Timeout(addr.clone())
-            } else {
-                NetError::Unreachable(addr.clone())
-            }
-        })?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        let mut stream = stream;
+        let stream = dial(addr, timeout)?;
+        let mut stream = &stream;
         stream
             .write_all(request.as_bytes())
             .and_then(|()| stream.write_all(b"\n"))
-            .map_err(|e| classify_io(addr, e))?;
+            .map_err(|e| classify(addr, e))?;
         let _ = stream.shutdown(Shutdown::Write);
         buf.prepare();
         let n = stream
             .read_to_string(&mut buf.text)
-            .map_err(|e| classify_io(addr, e))?;
+            .map_err(|e| classify(addr, e))?;
+        if n == 0 {
+            return Err(classify(addr, io::ErrorKind::UnexpectedEof.into()));
+        }
         buf.learn(n);
         Ok(n)
     }
 }
 
-fn classify_io(addr: &Addr, e: std::io::Error) -> NetError {
-    match e.kind() {
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
-            NetError::Timeout(addr.clone())
-        }
-        std::io::ErrorKind::ConnectionRefused | std::io::ErrorKind::ConnectionReset => {
-            NetError::Unreachable(addr.clone())
-        }
-        _ => NetError::Io(e.to_string()),
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    handler: Arc<dyn RequestHandler>,
-    stop: Arc<AtomicBool>,
-    tracker: Arc<ConnTracker>,
-) {
-    loop {
-        let Ok((stream, _peer)) = listener.accept() else {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let handler = Arc::clone(&handler);
-        let conn = tracker.enter();
-        // One thread per connection: monitoring fan-in is small (a parent
-        // polls each child every ~15 s) so this stays far from any limit.
-        std::thread::spawn(move || {
-            let _conn = conn;
-            let _ = serve_connection(stream, &*handler);
-        });
-    }
-}
-
-fn serve_connection(stream: TcpStream, handler: &dyn RequestHandler) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(CONN_DEADLINE))?;
-    stream.set_write_timeout(Some(CONN_DEADLINE))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request = String::new();
-    reader.read_line(&mut request)?;
-    let response = handler.handle(request.trim_end_matches(['\r', '\n']));
-    let mut stream = stream;
-    stream.write_all(response.as_bytes())?;
-    let _ = stream.shutdown(Shutdown::Write);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     const T: Duration = Duration::from_secs(2);
+
+    fn connect(guard: &dyn ServerGuard) -> TcpStream {
+        let addr: SocketAddr = guard.addr().as_str().parse().unwrap();
+        TcpStream::connect_timeout(&addr, T).unwrap()
+    }
 
     #[test]
     fn serve_and_fetch_over_loopback() {
@@ -335,16 +552,13 @@ mod tests {
 
     #[test]
     fn stalled_client_does_not_hold_a_connection_forever() {
-        // A client that connects and never sends: the server-side
-        // connection thread must die on the read deadline rather than
-        // pin resources indefinitely. Observed indirectly — the tracker
-        // drains once the stalled socket is closed client-side.
+        // A client that connects and never sends holds one worker; the
+        // others keep serving, and the guard still drains once the
+        // stalled socket closes.
         let transport = TcpTransport::new();
         let handler: Arc<dyn RequestHandler> = Arc::new(|_: &str| "x".to_string());
         let guard = transport.serve(&Addr::new("127.0.0.1:0"), handler).unwrap();
-        let addr: SocketAddr = guard.addr().as_str().parse().unwrap();
-        let stalled = TcpStream::connect_timeout(&addr, T).unwrap();
-        // A normal request is still served alongside the stalled peer.
+        let stalled = connect(&*guard);
         assert_eq!(transport.fetch(&guard.addr(), "q", T).unwrap(), "x");
         drop(stalled); // client closes; server read returns EOF
         drop(guard); // drains promptly — the test not hanging is the assertion
@@ -384,5 +598,133 @@ mod tests {
             transport.fetch(&Addr::new("not-an-addr"), "", T),
             Err(NetError::Io(_))
         ));
+    }
+
+    #[test]
+    fn classify_pins_every_socket_error_kind() {
+        let addr = Addr::new("127.0.0.1:1");
+        let cases = [
+            (io::ErrorKind::TimedOut, NetError::Timeout(addr.clone())),
+            (io::ErrorKind::WouldBlock, NetError::Timeout(addr.clone())),
+            (
+                io::ErrorKind::ConnectionRefused,
+                NetError::Unreachable(addr.clone()),
+            ),
+            (
+                io::ErrorKind::ConnectionReset,
+                NetError::Unreachable(addr.clone()),
+            ),
+            (
+                io::ErrorKind::BrokenPipe,
+                NetError::Unreachable(addr.clone()),
+            ),
+            (
+                io::ErrorKind::UnexpectedEof,
+                NetError::Unreachable(addr.clone()),
+            ),
+        ];
+        for (kind, expected) in cases {
+            assert_eq!(classify(&addr, kind.into()), expected, "{kind:?}");
+        }
+        for kind in [io::ErrorKind::InvalidData, io::ErrorKind::Other] {
+            assert!(
+                matches!(classify(&addr, kind.into()), NetError::Io(_)),
+                "{kind:?}"
+            );
+        }
+    }
+
+    /// A one-shot handler that counts its calls and blocks each one
+    /// until the test releases it.
+    fn held_handler() -> (
+        Arc<dyn RequestHandler>,
+        mpsc::Receiver<()>,
+        mpsc::SyncSender<()>,
+    ) {
+        let (entered_tx, entered) = mpsc::sync_channel::<()>(8);
+        let (release, release_rx) = mpsc::sync_channel::<()>(8);
+        let release_rx = Mutex::new(release_rx);
+        let handler: Arc<dyn RequestHandler> = Arc::new(move |req: &str| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.lock().unwrap().recv();
+            format!("<R Q=\"{req}\"/>")
+        });
+        (handler, entered, release)
+    }
+
+    #[test]
+    fn full_queue_closes_one_shot_connections_without_a_body() {
+        let (handler, entered, release) = held_handler();
+        let limits = ServerLimits {
+            workers: 1,
+            queue_depth: 1,
+            ..ServerLimits::default()
+        };
+        let guard =
+            serve_bounded(&Addr::new("127.0.0.1:0"), limits, one_shot(handler), |_| {}).unwrap();
+        let bound = guard.addr();
+        // The lone worker takes the first fetch and blocks in the handler.
+        let first = {
+            let bound = bound.clone();
+            std::thread::spawn(move || TcpTransport::new().fetch(&bound, "/a", T))
+        };
+        entered
+            .recv_timeout(T)
+            .expect("the worker took the first fetch");
+        // The second connection waits in the queue...
+        let mut queued = connect(&*guard);
+        queued.write_all(b"/b\n").unwrap();
+        queued.shutdown(Shutdown::Write).unwrap();
+        // ...so the third is refused at the door: the fetch fails rather
+        // than reading an empty document.
+        let refused = TcpTransport::new().fetch(&bound, "/c", T);
+        assert!(refused.is_err(), "{refused:?}");
+        // Released, the worker finishes the first and serves the queued one.
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(first.join().unwrap().unwrap(), "<R Q=\"/a\"/>");
+        let mut body = String::new();
+        queued.read_to_string(&mut body).unwrap();
+        assert_eq!(body, "<R Q=\"/b\"/>");
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_its_connection_not_the_worker() {
+        let handler: Arc<dyn RequestHandler> = Arc::new(|req: &str| {
+            assert_ne!(req, "/boom", "handler bug");
+            "ok".to_string()
+        });
+        let limits = ServerLimits {
+            workers: 1,
+            ..ServerLimits::default()
+        };
+        let guard =
+            serve_bounded(&Addr::new("127.0.0.1:0"), limits, one_shot(handler), |_| {}).unwrap();
+        let transport = TcpTransport::new();
+        assert!(transport.fetch(&guard.addr(), "/boom", T).is_err());
+        // The lone worker survived the panic.
+        assert_eq!(transport.fetch(&guard.addr(), "/", T).unwrap(), "ok");
+    }
+
+    #[test]
+    fn request_lines_are_capped_in_size() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let handler: Arc<dyn RequestHandler> = Arc::new(move |req: &str| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            req.len().to_string()
+        });
+        let transport = TcpTransport::new();
+        let guard = transport.serve(&Addr::new("127.0.0.1:0"), handler).unwrap();
+        // A line that fits, newline included, is served...
+        let longest = "x".repeat(MAX_LINE - 1);
+        assert_eq!(
+            transport.fetch(&guard.addr(), &longest, T).unwrap(),
+            (MAX_LINE - 1).to_string()
+        );
+        // ...one byte more is cut off before the handler sees it.
+        let over = "x".repeat(MAX_LINE);
+        assert!(transport.fetch(&guard.addr(), &over, T).is_err());
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 }

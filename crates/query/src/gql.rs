@@ -559,21 +559,37 @@ impl GqlQuery {
 
     /// Evaluate over a set of tree roots. `base` is the grid path the
     /// roots live under (`""` for a bare document, the gmetad's grid
-    /// name when evaluating its store). Filters that precede any
-    /// projection or aggregation are fused into the tree walk, so
-    /// non-matching subtree rows are never materialized.
+    /// name when evaluating its store). Name filters on the key fields
+    /// (grid, cluster, host, metric) that precede any projection or
+    /// aggregation are fused into the tree walk, so rows they reject
+    /// never reach the result set.
     pub fn evaluate(&self, base: &str, roots: &[RootRef<'_>]) -> RowSet {
-        let fused = self
+        let filters = self
             .stages
             .iter()
             .take_while(|s| matches!(s, Stage::NameFilter { .. } | Stage::ValFilter { .. }))
             .count();
-        let mut builder = RowBuilder::with_filters(self.summary, &self.stages[..fused]);
+        // Leading filters are row predicates, so they commute. Sibling
+        // names can collide, and rows with one key collapse to the last
+        // one walked. A filter that reads only the fields the key is made
+        // of judges every row of a key alike, so it may run before the
+        // collapse; any other filter must judge the row that survives it.
+        let (walk, after): (Vec<&Stage>, Vec<&Stage>) =
+            self.stages[..filters].iter().partition(|s| {
+                matches!(
+                    s,
+                    Stage::NameFilter {
+                        field: Field::Grid | Field::Cluster | Field::Host | Field::Metric,
+                        ..
+                    }
+                )
+            });
+        let mut builder = RowBuilder::with_filters(self.summary, walk);
         for root in roots {
             builder.add_root(base, root);
         }
         let mut rows = canonicalize(builder.finish());
-        for stage in &self.stages[fused..] {
+        for stage in after.into_iter().chain(&self.stages[filters..]) {
             rows = apply_stage(stage, rows);
         }
         rows
@@ -585,11 +601,12 @@ impl GqlQuery {
     }
 
     /// Naive reference evaluation: materialize every row, then apply
-    /// each stage one at a time with straightforward code. Exists so
-    /// proptests can check the fused evaluator against an independent
-    /// implementation.
-    pub fn evaluate_reference(&self, base: &str, roots: &[RootRef<'_>]) -> RowSet {
-        let mut builder = RowBuilder::with_filters(self.summary, &[]);
+    /// each stage one at a time with straightforward code. A test-only
+    /// oracle, so proptests can check the fused evaluator against an
+    /// independent implementation.
+    #[cfg(test)]
+    pub(crate) fn evaluate_reference(&self, base: &str, roots: &[RootRef<'_>]) -> RowSet {
+        let mut builder = RowBuilder::new(self.summary);
         for root in roots {
             builder.add_root(base, root);
         }
@@ -817,11 +834,11 @@ pub fn doc_roots(doc: &GangliaDoc) -> Vec<RootRef<'_>> {
 pub struct RowBuilder<'a> {
     rows: Vec<Row>,
     summary_scope: bool,
-    filters: &'a [Stage],
+    filters: Vec<&'a Stage>,
 }
 
 impl<'a> RowBuilder<'a> {
-    fn with_filters(summary_scope: bool, filters: &'a [Stage]) -> RowBuilder<'a> {
+    fn with_filters(summary_scope: bool, filters: Vec<&'a Stage>) -> RowBuilder<'a> {
         RowBuilder {
             rows: Vec::new(),
             summary_scope,
@@ -831,17 +848,12 @@ impl<'a> RowBuilder<'a> {
 
     /// A builder with no fused filters (every row materializes).
     pub fn new(summary_scope: bool) -> RowBuilder<'static> {
-        RowBuilder {
-            rows: Vec::new(),
-            summary_scope,
-            filters: &[],
-        }
+        RowBuilder::with_filters(summary_scope, Vec::new())
     }
 
     fn push(&mut self, row: Row) {
         if self.filters.iter().all(|stage| match stage {
             Stage::NameFilter { field, op } => name_matches(op, row.field(*field)),
-            Stage::ValFilter { cmp, threshold } => threshold.matches(*cmp, &row),
             _ => true,
         }) {
             self.rows.push(row);
@@ -1093,6 +1105,7 @@ fn top_k(mut rows: RowSet, k: usize) -> RowSet {
 /// evaluator. Kept structurally different from [`apply_stage`]: linear
 /// scans instead of grouped maps, explicit loops instead of iterator
 /// pipelines.
+#[cfg(test)]
 fn apply_stage_reference(stage: &Stage, rows: RowSet) -> RowSet {
     match stage {
         Stage::NameFilter { field, op } => {
@@ -1795,6 +1808,38 @@ mod tests {
                 "disagreement on {expr:?}"
             );
         }
+    }
+
+    #[test]
+    fn colliding_sibling_names_filter_the_row_that_survives() {
+        // Two clusters share a name, so their rows share keys and the
+        // last one walked wins. A value filter judges that survivor, not
+        // an earlier row it shadows.
+        let doc = GangliaDoc {
+            version: "2.5.4".into(),
+            source: "gmetad".into(),
+            items: vec![
+                GridItem::Cluster(ClusterNode::with_hosts(
+                    "meteor",
+                    vec![host("m0", &[("load_one", 5.0, "")])],
+                )),
+                GridItem::Cluster(ClusterNode::with_hosts(
+                    "meteor",
+                    vec![host("m0", &[("load_one", 0.5, "")])],
+                )),
+            ],
+        };
+        let roots = doc_roots(&doc);
+        for expr in [
+            "metric == load_one | val > 1",
+            "val > 1 | metric == load_one",
+        ] {
+            let q = GqlQuery::parse(expr).unwrap();
+            assert_eq!(q.evaluate("", &roots), Vec::new(), "{expr}");
+            assert_eq!(q.evaluate_reference("", &roots), Vec::new(), "{expr}");
+        }
+        let all = GqlQuery::parse("metric == load_one").unwrap();
+        assert_eq!(all.evaluate("", &roots)[0].raw, "0.5");
     }
 
     #[test]

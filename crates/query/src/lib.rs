@@ -23,6 +23,9 @@ pub mod gql;
 pub mod path;
 pub mod regex_lite;
 
+#[cfg(test)]
+mod proptest_gql;
+
 pub use error::QueryError;
 pub use gql::{Delta, GqlError, GqlQuery, Mirror, RootRef, Row, RowSet};
 pub use path::{Filter, Query, Segment};

@@ -23,6 +23,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use ganglia_net::tcp;
 use ganglia_net::{Addr, NetError};
 
 /// The hello line opening a keep-alive session.
@@ -88,8 +89,10 @@ pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<String> {
 
 /// A client-side keep-alive session: one TCP connection, many queries.
 pub struct KeepAliveClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// The connection, buffered for reading frames; requests are
+    /// written straight to the socket underneath.
+    conn: BufReader<TcpStream>,
+    addr: Addr,
 }
 
 impl KeepAliveClient {
@@ -102,50 +105,29 @@ impl KeepAliveClient {
         name: &str,
         timeout: Duration,
     ) -> Result<KeepAliveClient, NetError> {
-        let socket_addr: std::net::SocketAddr = addr
-            .as_str()
-            .parse()
-            .map_err(|e| NetError::Io(format!("bad socket address {addr}: {e}")))?;
-        let stream = TcpStream::connect_timeout(&socket_addr, timeout).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::TimedOut {
-                NetError::Timeout(addr.clone())
-            } else {
-                NetError::Unreachable(addr.clone())
-            }
-        })?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)))
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        // Request lines are tiny; Nagle would hold each one for the
-        // delayed ACK and cap the session at ~25 queries/second.
-        let _ = stream.set_nodelay(true);
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| NetError::Io(e.to_string()))?;
+        let stream = tcp::dial(addr, timeout)?;
         let hello = if name.is_empty() {
             format!("{KEEPALIVE_HELLO}\n")
         } else {
             format!("{KEEPALIVE_HELLO} {name}\n")
         };
-        writer
+        (&stream)
             .write_all(hello.as_bytes())
-            .map_err(|e| classify(addr, e))?;
+            .map_err(|e| tcp::classify(addr, e))?;
         Ok(KeepAliveClient {
-            reader: BufReader::new(stream),
-            writer,
+            conn: BufReader::new(stream),
+            addr: addr.clone(),
         })
     }
 
     /// Issue one request line and read its framed response.
     pub fn query(&mut self, request: &str) -> Result<String, NetError> {
-        let addr = self.peer_addr();
-        self.writer
+        let mut stream = self.conn.get_ref();
+        stream
             .write_all(request.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| classify(&addr, e))?;
-        read_frame(&mut self.reader).map_err(|e| classify(&addr, e))
+            .and_then(|()| stream.write_all(b"\n"))
+            .map_err(|e| tcp::classify(&self.addr, e))?;
+        self.next_frame()
     }
 
     /// Ask the server to turn this session into a continuous-query
@@ -161,28 +143,7 @@ impl KeepAliveClient {
     /// the connect timeout; a quiet round shows up as
     /// [`NetError::Timeout`], which is retryable.
     pub fn next_frame(&mut self) -> Result<String, NetError> {
-        let addr = self.peer_addr();
-        read_frame(&mut self.reader).map_err(|e| classify(&addr, e))
-    }
-
-    fn peer_addr(&self) -> Addr {
-        self.writer
-            .peer_addr()
-            .map(|a| Addr::new(a.to_string()))
-            .unwrap_or_else(|_| Addr::new("keepalive-peer"))
-    }
-}
-
-fn classify(addr: &Addr, e: std::io::Error) -> NetError {
-    match e.kind() {
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
-            NetError::Timeout(addr.clone())
-        }
-        std::io::ErrorKind::ConnectionRefused
-        | std::io::ErrorKind::ConnectionReset
-        | std::io::ErrorKind::BrokenPipe
-        | std::io::ErrorKind::UnexpectedEof => NetError::Unreachable(addr.clone()),
-        _ => NetError::Io(e.to_string()),
+        read_frame(&mut self.conn).map_err(|e| tcp::classify(&self.addr, e))
     }
 }
 

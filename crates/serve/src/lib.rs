@@ -23,12 +23,17 @@
 //!   over-limit request is answered with a well-formed XML error
 //!   comment instead of hanging, so every client always gets a
 //!   parseable document.
-//! * [`PooledServer`] — a bounded worker-pool connection server over
-//!   real TCP: one accept thread, `workers` service threads, a bounded
-//!   hand-off queue, per-connection read/write deadlines, and a guard
-//!   that drains in-flight connections with a deadline on drop. A
-//!   stalled or flooding client costs at most one worker for one
-//!   deadline; it cannot wedge the port.
+//! * [`PooledServer`] — the tier's connection protocol (one-shot or
+//!   keep-alive, subscriptions) on the one bounded server every port
+//!   runs on, [`ganglia_net::tcp::serve_bounded`]: one accept thread,
+//!   `workers` service threads, a bounded hand-off queue,
+//!   per-connection read/write deadlines, and a guard that drains
+//!   in-flight connections on drop. Every request line must arrive
+//!   complete within the read deadline and fit in 64 KiB, so a
+//!   stalled, dripping or flooding client costs at most one worker for
+//!   one deadline; it cannot wedge the port. A connection that finds
+//!   the queue full is refused with an `overloaded` document (the plain
+//!   one-shot server closes it without a body instead).
 //! * [`KeepAliveClient`] / the [`frame`] module — an optional framed
 //!   keep-alive protocol (`#keepalive` hello, length-prefixed
 //!   responses) so viewers can issue many queries over one connection
@@ -38,6 +43,9 @@
 //!   and the tier pushes delta frames after every poll round that
 //!   changes the query's result, instead of the client re-polling and
 //!   re-diffing the full document.
+//!
+//! This crate holds protocol and policy only — cache, admission,
+//! keep-alive, subscriptions; `ganglia-net` owns the sockets.
 //!
 //! The tier also serves over the simulated transport: [`FrontTier`]
 //! implements [`RequestHandler`](ganglia_net::transport::RequestHandler),

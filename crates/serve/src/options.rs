@@ -2,6 +2,8 @@
 
 use std::time::Duration;
 
+use ganglia_net::tcp::ServerLimits;
+
 /// Configuration for a [`FrontTier`](crate::FrontTier) and the
 /// [`PooledServer`](crate::PooledServer) that feeds it.
 ///
@@ -42,18 +44,21 @@ pub struct ServeOptions {
 }
 
 impl Default for ServeOptions {
+    /// The bounded server's [`ServerLimits::default`], 64 requests in
+    /// flight, the cache on and no rate limit.
     fn default() -> Self {
+        let limits = ServerLimits::default();
         ServeOptions {
-            workers: 4,
+            workers: limits.workers,
             max_inflight: 64,
-            queue_depth: 64,
+            queue_depth: limits.queue_depth,
             cache: true,
             cache_capacity: 128,
             rate_per_sec: 0,
             rate_burst: 0,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            drain_deadline: Duration::from_secs(2),
+            read_timeout: limits.read_timeout,
+            write_timeout: limits.write_timeout,
+            drain_deadline: limits.drain_deadline,
         }
     }
 }
@@ -62,6 +67,17 @@ impl ServeOptions {
     /// The defaults: 4 workers, 64 in flight, cache on, no rate limit.
     pub fn new() -> Self {
         ServeOptions::default()
+    }
+
+    /// The sizing and deadlines the bounded server runs the port with.
+    pub fn limits(&self) -> ServerLimits {
+        ServerLimits {
+            workers: self.workers,
+            queue_depth: self.queue_depth,
+            read_timeout: self.read_timeout,
+            write_timeout: self.write_timeout,
+            drain_deadline: self.drain_deadline,
+        }
     }
 
     /// The effective token-bucket burst: explicit, or twice the rate.
@@ -130,6 +146,9 @@ mod tests {
         assert_eq!(options.rate_per_sec, 0, "rate limiting off by default");
         assert!(options.workers >= 1);
         assert!(options.max_inflight >= options.workers);
+        // One set of defaults: the tier's port runs at exactly the
+        // limits a plain report port gets.
+        assert_eq!(options.limits(), ServerLimits::default());
     }
 
     #[test]

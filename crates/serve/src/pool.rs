@@ -1,397 +1,134 @@
-//! The bounded worker-pool connection server.
+//! The serving tier's connection protocol on the one bounded server.
 //!
-//! The stock [`TcpTransport`](ganglia_net::TcpTransport) server spawns
-//! one detached thread per connection — fine for a parent gmetad
-//! polling every ~15 s, wrong for a public query port where "many
-//! clients request and receive cluster state" (§3.3). The pool inverts
-//! that: one accept thread feeds a bounded queue drained by a fixed set
-//! of service workers, so concurrency is capped by configuration, a
-//! full queue sheds with a well-formed error document instead of
-//! growing without bound, and a stalled peer ties up one worker for at
-//! most a read/write deadline before being evicted.
+//! Every port, the tier's and the plain report ports alike, runs on
+//! [`ganglia_net::tcp::serve_bounded`]: one accept thread feeding a
+//! bounded queue drained by a fixed set of workers, per-connection read
+//! and write deadlines, and a guard that drains on drop. Concurrency is
+//! capped by configuration, and a stalled peer ties up one worker for
+//! at most one deadline before it is evicted. Every request line, the
+//! keep-alive hello and each keep-alive line included, is read through
+//! [`Conn::read_line`]: it must arrive complete within the read
+//! deadline and fit in [`MAX_LINE`](ganglia_net::tcp::MAX_LINE) bytes,
+//! so a dripping or newline-less peer is cut off too.
+//!
+//! [`PooledServer::bind`] adds the tier's protocol and policy on top:
+//! the legacy one-shot exchange or a keep-alive session (with
+//! subscriptions), answered through the tier's cache and admission
+//! control. Where the plain one-shot server refuses a connection at the
+//! door by closing it without a body, the tier refuses with a
+//! well-formed `overloaded` document, counted in `serve.shed_total`.
 
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io;
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::Arc;
+use std::time::Duration;
 
+use ganglia_net::tcp::{self, Conn};
 use ganglia_net::{Addr, NetError, ServerGuard};
 
 use crate::frame;
+use crate::subs::SubscriptionHandle;
 use crate::tier::{error_doc, FrontTier};
 
-/// Binds TCP ports and serves them through a [`FrontTier`] with a fixed
-/// worker pool. Stateless: [`PooledServer::bind`] does all the work.
+/// Binds TCP ports and serves them through a [`FrontTier`] on the
+/// bounded server. Stateless: [`PooledServer::bind`] does all the work.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PooledServer;
-
-/// Alive-worker tracking, so a dropped guard can wait for the pool to
-/// drain.
-struct WorkerSet {
-    alive: Mutex<usize>,
-    done: Condvar,
-}
-
-impl WorkerSet {
-    /// Block until every worker has exited or `deadline` passes;
-    /// returns whether the pool fully drained.
-    fn wait_drained(&self, deadline: Duration) -> bool {
-        let until = Instant::now() + deadline;
-        let mut alive = self.alive.lock().unwrap_or_else(|e| e.into_inner());
-        while *alive > 0 {
-            let now = Instant::now();
-            if now >= until {
-                return false;
-            }
-            let (next, timeout) = self
-                .done
-                .wait_timeout(alive, until - now)
-                .unwrap_or_else(|e| e.into_inner());
-            alive = next;
-            if timeout.timed_out() && *alive > 0 {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// Decrements the alive count when a worker exits, even on unwind.
-struct WorkerExit(Arc<WorkerSet>);
-
-impl Drop for WorkerExit {
-    fn drop(&mut self) {
-        *self.0.alive.lock().unwrap_or_else(|e| e.into_inner()) -= 1;
-        self.0.done.notify_all();
-    }
-}
-
-/// Guard for a pooled endpoint. Dropping it stops the accept thread,
-/// closes the connection queue, and waits up to the tier's drain
-/// deadline for in-flight connections to finish; workers still stuck on
-/// a slow peer past the deadline are detached (their sockets die with
-/// the per-connection read/write timeouts).
-pub struct PooledGuard {
-    local: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    worker_set: Arc<WorkerSet>,
-    drain_deadline: Duration,
-}
-
-impl ServerGuard for PooledGuard {
-    fn addr(&self) -> Addr {
-        Addr::new(self.local.to_string())
-    }
-}
-
-impl Drop for PooledGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Poke the listener so the accept thread notices the stop flag.
-        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(200));
-        if let Some(thread) = self.accept.take() {
-            let _ = thread.join();
-        }
-        // The accept thread owned the queue sender; its exit closed the
-        // channel, so workers drain what was already accepted and stop.
-        if self.worker_set.wait_drained(self.drain_deadline) {
-            for worker in self.workers.drain(..) {
-                let _ = worker.join();
-            }
-        }
-        // Otherwise: detach. A worker past the drain deadline is stuck
-        // on one slow connection, bounded by the read/write timeouts.
-    }
-}
 
 impl PooledServer {
     /// Bind `addr` and serve it through `tier`. Worker count, queue
     /// depth, deadlines, and the drain deadline all come from the
     /// tier's [`ServeOptions`](crate::ServeOptions).
     pub fn bind(addr: &Addr, tier: Arc<FrontTier>) -> Result<Box<dyn ServerGuard>, NetError> {
-        let listener = TcpListener::bind(addr.as_str()).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::AddrInUse {
-                NetError::AddrInUse(addr.clone())
-            } else {
-                NetError::Io(e.to_string())
-            }
-        })?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        let options = tier.options().clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(options.queue_depth);
-        // The vendored environment has no MPMC channel, so the workers
-        // share one mpsc receiver behind a mutex: lock, take one
-        // connection, release, serve. The lock is held only for the
-        // hand-off, never while serving.
-        let rx = Arc::new(Mutex::new(rx));
-        let worker_set = Arc::new(WorkerSet {
-            alive: Mutex::new(options.workers),
-            done: Condvar::new(),
-        });
-        let mut workers = Vec::with_capacity(options.workers);
-        for index in 0..options.workers {
-            let rx = Arc::clone(&rx);
-            let tier = Arc::clone(&tier);
-            let exit = WorkerExit(Arc::clone(&worker_set));
-            let worker = std::thread::Builder::new()
-                .name(format!("gserve-worker-{local}-{index}"))
-                .spawn(move || {
-                    let _exit = exit;
-                    worker_loop(&rx, &tier);
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
-            workers.push(worker);
-        }
-        let stop_for_accept = Arc::clone(&stop);
-        let tier_for_accept = Arc::clone(&tier);
-        let accept = std::thread::Builder::new()
-            .name(format!("gserve-accept-{local}"))
-            .spawn(move || accept_loop(listener, tx, tier_for_accept, stop_for_accept))
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        Ok(Box::new(PooledGuard {
-            local,
-            stop,
-            accept: Some(accept),
-            workers,
-            worker_set,
-            drain_deadline: options.drain_deadline,
-        }))
+        let limits = tier.options().limits();
+        let refusing = Arc::clone(&tier);
+        tcp::serve_bounded(
+            addr,
+            limits,
+            move |conn| {
+                if let Err(e) = serve_connection(conn, &tier) {
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                    ) {
+                        tier.record_eviction();
+                    }
+                }
+            },
+            move |stream| {
+                // The client reads "overloaded", not a hang.
+                refusing.record_shed();
+                let doc = error_doc("overloaded: connection queue full, shedding");
+                let _ = io::Write::write_all(stream, doc.as_bytes());
+            },
+        )
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    tx: SyncSender<TcpStream>,
-    tier: Arc<FrontTier>,
-    stop: Arc<AtomicBool>,
-) {
-    loop {
-        let Ok((stream, _peer)) = listener.accept() else {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if stop.load(Ordering::SeqCst) {
-            return; // dropping `tx` here closes the worker queue
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(stream)) => {
-                // Every worker is busy and the backlog is at capacity:
-                // shed at the door rather than queue unboundedly. The
-                // refusal is a complete document, so the client sees
-                // "overloaded", not a hang.
-                tier.record_shed();
-                refuse(stream);
-            }
-            Err(TrySendError::Disconnected(_)) => return,
-        }
-    }
-}
-
-fn refuse(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let doc = error_doc("overloaded: connection queue full, shedding");
-    let _ = stream.write_all(doc.as_bytes());
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, tier: &FrontTier) {
-    loop {
-        let stream = {
-            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            match rx.recv() {
-                Ok(stream) => stream,
-                Err(_) => return, // queue closed and drained
-            }
-        };
-        serve_connection(stream, tier);
-    }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-    )
-}
-
-fn serve_connection(stream: TcpStream, tier: &FrontTier) {
-    let options = tier.options();
-    if stream.set_read_timeout(Some(options.read_timeout)).is_err()
-        || stream
-            .set_write_timeout(Some(options.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-    // Frame header and body go out as separate writes; without nodelay,
-    // Nagle holds the short header for the peer's delayed ACK and every
-    // keep-alive round trip eats ~40 ms.
-    let _ = stream.set_nodelay(true);
-    // One-shot peers are keyed by source IP; a keep-alive hello below
-    // may override this with the session's self-declared name.
-    let peer = stream
+/// Serve one connection: a keep-alive session if the first line is the
+/// hello, otherwise the one-shot exchange. An error ends the
+/// connection; a deadline error counts as an eviction.
+fn serve_connection(conn: &mut Conn, tier: &FrontTier) -> io::Result<()> {
+    // One-shot peers are keyed by source IP; a keep-alive hello may
+    // override this with the session's self-declared name.
+    let peer = conn
+        .stream()
         .peer_addr()
         .map(|a| a.ip().to_string())
         .unwrap_or_else(|_| "unknown".to_string());
-    let Ok(clone) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = std::io::BufReader::new(clone);
-    let mut writer = stream;
     let mut first = String::new();
-    match std::io::BufRead::read_line(&mut reader, &mut first) {
-        Ok(0) => return, // closed without a request (e.g. the stop poke)
-        Ok(_) => {}
-        Err(e) => {
-            if is_timeout(&e) {
-                tier.record_eviction();
-            }
-            return;
-        }
+    if conn.read_line(&mut first)? == 0 {
+        return Ok(()); // closed without a request
     }
-    let first = first.trim_end_matches(['\r', '\n']);
-    if let Some(name) = frame::parse_hello(first) {
-        let session = if name.is_empty() {
-            peer
-        } else {
-            name.to_string()
-        };
-        serve_keepalive(&mut reader, &mut writer, tier, &session);
-    } else {
-        let served = tier.handle_from(&peer, first);
-        match writer.write_all(served.body.as_bytes()) {
-            Ok(()) => {
-                let _ = writer.shutdown(Shutdown::Write);
-            }
-            Err(e) => {
-                if is_timeout(&e) {
-                    tier.record_eviction();
-                }
-            }
-        }
+    match frame::parse_hello(&first) {
+        Some("") => serve_keepalive(conn, tier, &peer),
+        Some(name) => serve_keepalive(conn, tier, name),
+        None => conn.respond(tier.handle_from(&peer, &first).body.as_bytes()),
     }
 }
 
-fn serve_keepalive(
-    reader: &mut std::io::BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    tier: &FrontTier,
-    session: &str,
-) {
+fn serve_keepalive(conn: &mut Conn, tier: &FrontTier, session: &str) -> io::Result<()> {
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        match std::io::BufRead::read_line(reader, &mut line) {
-            Ok(0) => return, // clean close
-            Ok(_) => {}
-            Err(e) => {
-                if is_timeout(&e) {
-                    tier.record_eviction();
-                }
-                return;
-            }
+        if conn.read_line(&mut line)? == 0 {
+            return Ok(()); // clean close
         }
-        let line = line.trim_end_matches(['\r', '\n']);
-        if let Some(expr) = frame::parse_subscribe(line) {
-            match tier.try_subscribe(session, expr) {
+        let body = match frame::parse_subscribe(&line) {
+            Some(expr) => match tier.try_subscribe(session, expr) {
                 Ok(handle) => {
-                    // Push mode: the initial snapshot, then deltas as
-                    // the registry produces them. The connection never
+                    // Push mode: the initial snapshot, then deltas as the
+                    // registry produces them. The connection never
                     // returns to request mode.
-                    if frame::write_frame(writer, &handle.initial).is_ok() {
-                        push_deltas(reader, writer, tier, &handle);
-                    } else {
-                        tier.record_eviction();
-                    }
+                    let pushed = frame::write_frame(&mut conn.stream(), &handle.initial)
+                        .and_then(|()| push_deltas(conn, &handle));
                     if let Some(subs) = tier.subscriptions() {
                         subs.unsubscribe(handle.id);
                     }
-                    return;
+                    return pushed;
                 }
-                Err(refusal) => {
-                    // A refused subscribe leaves the session in request
-                    // mode; the framed <ERROR> document says why.
-                    if let Err(e) = frame::write_frame(writer, &refusal) {
-                        if is_timeout(&e) {
-                            tier.record_eviction();
-                        }
-                        return;
-                    }
-                    continue;
-                }
-            }
-        }
-        let served = tier.handle_from(session, line);
-        if let Err(e) = frame::write_frame(writer, served.body.as_str()) {
-            if is_timeout(&e) {
-                tier.record_eviction();
-            }
-            return;
-        }
+                // A refused subscribe leaves the session in request
+                // mode; the framed <ERROR> document says why.
+                Err(refusal) => Arc::new(refusal),
+            },
+            None => tier.handle_from(session, &line).body,
+        };
+        frame::write_frame(&mut conn.stream(), &body)?;
     }
 }
 
 /// Serve a subscribed connection: block on the subscription queue and
-/// frame out each delta. Between deltas, poll the socket so a client
-/// that closed (or sent anything further — the push protocol has no
-/// requests) is noticed and its worker freed even on a quiet store.
-fn push_deltas(
-    reader: &mut std::io::BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    tier: &FrontTier,
-    handle: &crate::subs::SubscriptionHandle,
-) {
+/// frame out each delta. Between deltas, probe the socket so a client
+/// that closed is noticed and its worker freed even on a quiet store.
+fn push_deltas(conn: &mut Conn, handle: &SubscriptionHandle) -> io::Result<()> {
     loop {
         match handle.next(Duration::from_millis(100)) {
-            Ok(body) => {
-                if let Err(e) = frame::write_frame(writer, &body) {
-                    if is_timeout(&e) {
-                        tier.record_eviction();
-                    }
-                    return;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if subscriber_gone(reader) {
-                    return;
-                }
-            }
+            Ok(body) => frame::write_frame(&mut conn.stream(), &body)?,
+            Err(RecvTimeoutError::Timeout) if conn.peer_gone() => return Ok(()),
+            Err(RecvTimeoutError::Timeout) => {}
             // The registry evicted this subscription (slow reader).
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => return Ok(()),
         }
     }
-}
-
-/// Nearly-non-blocking liveness probe on a push-mode connection.
-fn subscriber_gone(reader: &mut std::io::BufReader<TcpStream>) -> bool {
-    use std::io::Read;
-    let saved = reader.get_ref().read_timeout().ok().flatten();
-    if reader
-        .get_ref()
-        .set_read_timeout(Some(Duration::from_millis(1)))
-        .is_err()
-    {
-        return true;
-    }
-    let mut probe = [0u8; 64];
-    let gone = match reader.read(&mut probe) {
-        Ok(0) => true,  // clean close
-        Ok(_) => false, // stray input; the protocol ignores it
-        Err(e) if is_timeout(&e) => false,
-        Err(_) => true,
-    };
-    let _ = reader.get_ref().set_read_timeout(saved);
-    gone
 }
 
 #[cfg(test)]
@@ -402,6 +139,11 @@ mod tests {
     use ganglia_net::transport::{RequestHandler, Transport};
     use ganglia_net::TcpTransport;
     use ganglia_telemetry::Registry;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::mpsc;
+    use std::sync::Mutex;
+    use std::time::Instant;
 
     const T: Duration = Duration::from_secs(2);
 
@@ -413,6 +155,19 @@ mod tests {
         let handler: Arc<dyn RequestHandler> = Arc::new(handler);
         let tier = FrontTier::new(handler, || 1, options, Arc::clone(&registry));
         (tier, registry)
+    }
+
+    fn connect(guard: &dyn ServerGuard) -> TcpStream {
+        let addr: SocketAddr = guard.addr().as_str().parse().unwrap();
+        TcpStream::connect_timeout(&addr, T).unwrap()
+    }
+
+    fn wait_for_counter(registry: &Registry, name: &str, value: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while registry.snapshot().counter(name) != Some(value) {
+            assert!(Instant::now() < deadline, "{name} never reached {value}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     #[test]
@@ -481,26 +236,112 @@ mod tests {
         let guard = PooledServer::bind(&Addr::new("127.0.0.1:0"), tier).unwrap();
         // Connect and send nothing: the worker must not be pinned past
         // the read deadline.
-        let addr: SocketAddr = guard.addr().as_str().parse().unwrap();
-        let _stalled = TcpStream::connect_timeout(&addr, T).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while registry.snapshot().counter("serve.evicted_total") != Some(1) {
-            assert!(Instant::now() < deadline, "stalled client never evicted");
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let _stalled = connect(&*guard);
+        wait_for_counter(&registry, "serve.evicted_total", 1);
         // The lone worker is free again: a well-behaved client is served.
         let transport = TcpTransport::new();
         assert_eq!(transport.fetch(&guard.addr(), "/", T).unwrap(), "<DOC/>");
     }
 
     #[test]
-    fn guard_drop_stops_accepting_and_drains() {
-        let (tier, _registry) = tier_over(|_| "x".to_string(), ServeOptions::default());
+    fn a_dripping_peer_is_evicted_within_one_deadline() {
+        let deadline = Duration::from_millis(300);
+        let (tier, registry) = tier_over(
+            |_| "<DOC/>".to_string(),
+            ServeOptions::default()
+                .with_workers(1)
+                .with_deadlines(deadline, deadline),
+        );
         let guard = PooledServer::bind(&Addr::new("127.0.0.1:0"), tier).unwrap();
-        let bound = guard.addr();
+        // One byte every 100 ms and no newline: every read beats the
+        // socket timeout, the line as a whole does not.
+        let mut drip = connect(&*guard);
+        let start = Instant::now();
+        let dripper = std::thread::spawn(move || {
+            for _ in 0..50 {
+                if drip.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        // The client waiting behind the drip is served once the lone
+        // worker evicts it, about one deadline in, not after the 5 s
+        // drip (the bound leaves room for a loaded machine).
         let transport = TcpTransport::new();
-        assert!(transport.fetch(&bound, "", T).is_ok());
-        drop(guard);
-        assert!(transport.fetch(&bound, "", T).is_err());
+        assert_eq!(
+            transport
+                .fetch(&guard.addr(), "/", Duration::from_secs(10))
+                .unwrap(),
+            "<DOC/>"
+        );
+        let waited = start.elapsed();
+        assert!(waited < deadline * 8, "waited {waited:?} behind the drip");
+        assert_eq!(registry.snapshot().counter("serve.evicted_total"), Some(1));
+        dripper.join().unwrap();
+    }
+
+    #[test]
+    fn over_long_lines_are_cut_off_on_both_protocols() {
+        let (tier, registry) = tier_over(|req| req.len().to_string(), ServeOptions::default());
+        let guard = PooledServer::bind(&Addr::new("127.0.0.1:0"), tier).unwrap();
+        let over = "x".repeat(tcp::MAX_LINE);
+        // One-shot: the connection closes without a response.
+        assert!(TcpTransport::new().fetch(&guard.addr(), &over, T).is_err());
+        // Keep-alive: a line that fits is answered, one past the cap
+        // ends the session.
+        let mut session = KeepAliveClient::connect(&guard.addr(), "long", T).unwrap();
+        let longest = "x".repeat(tcp::MAX_LINE - 1);
+        assert_eq!(
+            session.query(&longest).unwrap(),
+            (tcp::MAX_LINE - 1).to_string()
+        );
+        assert!(session.query(&over).is_err());
+        assert_eq!(registry.snapshot().counter("serve.requests_total"), Some(1));
+    }
+
+    #[test]
+    fn full_queue_sheds_with_an_overloaded_document() {
+        // The handler holds the lone worker until the test releases it.
+        let (entered_tx, entered) = mpsc::sync_channel::<()>(8);
+        let (release, release_rx) = mpsc::sync_channel::<()>(8);
+        let release_rx = Mutex::new(release_rx);
+        let mut options = ServeOptions::default().with_workers(1).with_cache(false);
+        options.queue_depth = 1;
+        let (tier, registry) = tier_over(
+            move |req| {
+                let _ = entered_tx.send(());
+                let _ = release_rx.lock().unwrap().recv();
+                format!("<R Q=\"{req}\"/>")
+            },
+            options,
+        );
+        let guard = PooledServer::bind(&Addr::new("127.0.0.1:0"), tier).unwrap();
+        let first = {
+            let bound = guard.addr();
+            std::thread::spawn(move || TcpTransport::new().fetch(&bound, "/a", T))
+        };
+        entered
+            .recv_timeout(T)
+            .expect("the worker took the first fetch");
+        // The second connection waits in the queue of one...
+        let mut queued = connect(&*guard);
+        queued.write_all(b"/b\n").unwrap();
+        // ...so the third is shed at the door with a complete document.
+        let mut shed = connect(&*guard);
+        shed.set_read_timeout(Some(T)).unwrap();
+        let mut body = Vec::new();
+        let _ = shed.read_to_end(&mut body);
+        let body = String::from_utf8(body).unwrap();
+        assert!(body.contains("overloaded"), "{body}");
+        assert!(body.contains("<GANGLIA_XML"), "{body}");
+        assert_eq!(registry.snapshot().counter("serve.shed_total"), Some(1));
+        // Released, the worker finishes the first and serves the queued one.
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(first.join().unwrap().unwrap(), "<R Q=\"/a\"/>");
+        let mut body = String::new();
+        queued.read_to_string(&mut body).unwrap();
+        assert_eq!(body, "<R Q=\"/b\"/>");
     }
 }
