@@ -17,13 +17,14 @@ const LATENCY_FLOOR_US: f64 = 20.0;
 
 /// The run as rows, the store against the seed-store replica. Gates:
 /// ≥4x replace+refresh throughput at 16 writers (the win is
-/// algorithmic — one summary copy against O(sources) merges per
-/// refresh — so it holds on a single core); exactly one summary read
+/// algorithmic — one rounding per metric against O(sources) merges per
+/// refresh — so it holds on a single core); exactly one reduction read
 /// per uncached root merge and zero per-source summaries touched;
-/// byte-identical `/?filter=summary` against the rebuild-every-mutation
-/// path at every churn level; root latency sublinear in source count.
-/// Replace-only throughput is reported, not gated: the store pays a
-/// summary delta per replace.
+/// byte-identical `/?filter=summary` against a store filled in reverse
+/// order, and a root summary equal to the from-scratch reduction, at
+/// every churn level; root latency sublinear in source count.
+/// Replace-only throughput is reported, not gated: the store pays an
+/// exact add and retract per metric per replace.
 pub fn federation_rows(result: &FederationResult) -> Vec<Row> {
     let mut rows = Vec::new();
     for (stage, row, seed) in [

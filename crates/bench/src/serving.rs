@@ -10,8 +10,9 @@ use crate::{Op, Params, Report, Row};
 
 /// Serving as rows, cached against render-per-request. Gates: the cache
 /// carries ≥5x the throughput and answers at least half the requests,
-/// and good clients' p99 stays under 2 s with stalled peers (a wedged
-/// port would push it toward the 5 s client timeout).
+/// good clients' p99 stays under 2 s with stalled peers (a wedged port
+/// would push it toward the 5 s client timeout), and the read deadline
+/// evicts every stalled peer.
 pub fn serving_rows(result: &ServingResult, isolation: &IsolationResult) -> Vec<Row> {
     let (cached, rendered) = (&result.cached, &result.rendered);
     let requests = result.params.clients * result.params.requests_per_client;
@@ -31,7 +32,8 @@ pub fn serving_rows(result: &ServingResult, isolation: &IsolationResult) -> Vec<
         )
         .vs(isolation.baseline_p99_us)
         .gate(Op::Lt, 2_000_000),
-        Row::new("stalled peers", "evictions", isolation.evictions),
+        Row::new("stalled peers", "evictions", isolation.evictions)
+            .gate(Op::Ge, isolation.stalled_clients),
     ]
 }
 

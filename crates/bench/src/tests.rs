@@ -325,6 +325,7 @@ fn every_gate_is_pinned() {
             "serving | full dump | speedup_x | >= 5",
             "serving | full dump | cache_hits | >= 320",
             "serving | stalled peers | good_client_p99_us | < 2000000",
+            "serving | stalled peers | evictions | >= 2",
             "ingest | churn 0% | speedup_x | >= 3",
             "ingest | churn 0% | hosts_rebuilt | == 64",
             "ingest | churn 0% | host_rounds | == 1280",

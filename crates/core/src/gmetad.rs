@@ -463,7 +463,6 @@ impl Gmetad {
         mirror("store.source_touches", stats.source_touches);
         mirror("store.list_rebuilds", stats.list_rebuilds);
         mirror("summary.delta_applied", stats.deltas_applied);
-        mirror("summary.rebuilds", stats.summary_rebuilds);
     }
 
     /// Name of the synthetic cluster this daemon publishes its own
@@ -554,17 +553,12 @@ impl Gmetad {
                 snap.gauge("ingest.atoms_live").unwrap_or(0) as f64,
                 "atoms",
             ),
-            // Store summary maintenance: incremental deltas vs
-            // anti-drift rebuilds.
+            // Contribution changes folded into the store's root
+            // reduction.
             metric(
                 "self.summary_deltas_total",
                 counter("summary.delta_applied"),
                 "deltas",
-            ),
-            metric(
-                "self.summary_rebuilds_total",
-                counter("summary.rebuilds"),
-                "rebuilds",
             ),
             metric("self.queries_total", queries_total as f64, "queries"),
             metric(

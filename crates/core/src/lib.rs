@@ -25,7 +25,8 @@
 //!   (Fresh → Stale → Down → Expired) the store enforces;
 //! * [`store`] — the hash-table store of §3.3.2 ("our approach
 //!   approximates a DOM design where each XML tag name keys into a hash
-//!   table");
+//!   table"), with the grid's root reduction kept exactly and
+//!   incrementally (an exact `f64` accumulator per metric);
 //! * [`query_engine`] — path queries over the store, including the
 //!   cluster-summary filter;
 //! * [`archive`] — RRD archiving: full host archives for local clusters,
@@ -57,6 +58,7 @@ pub mod archive;
 pub mod conf;
 pub mod config;
 pub mod error;
+mod exact_sum;
 pub mod freshness;
 pub mod gmetad;
 pub mod health;

@@ -1110,6 +1110,5 @@ mod tests {
             second.deltas_applied, first.deltas_applied,
             "unchanged round must not apply a summary delta"
         );
-        assert_eq!(second.summary_rebuilds, first.summary_rebuilds);
     }
 }

@@ -15,34 +15,36 @@
 //! previous summary will be returned" (§3.3.1) — queries always see the
 //! latest *fully-parsed* data, never a half-built one.
 //!
-//! # Incremental summaries
+//! # The root reduction
 //!
 //! At federation scale (hundreds of grids, ~100k hosts) re-merging
 //! **every** source's summary on every revision bump made
 //! `root_summary()` O(sources × metrics) per poll round even when one
-//! host changed. The store therefore keeps a merged [`SummaryBody`] of
-//! all its sources next to the source map, under the same `RwLock`, and
-//! maintains it *incrementally*: a mutation applies the
-//! [`SummaryDelta`] between the source's old and new contribution
-//! instead of re-merging. An uncached root summary copies that one
-//! summary — O(metrics), not O(sources).
-//!
-//! Because `sum − old + new` can drift from a from-scratch merge by
-//! float rounding, the store re-merges from scratch once per
-//! `rebuild_rounds` deltas (the anti-drift rebuild); see DESIGN.md §18
-//! for the invariants and for why one lock beat lock sharding.
+//! host changed. The store therefore keeps the reduction of all its
+//! sources next to the source map, under the same `RwLock`, and
+//! maintains it incrementally: a mutation adds the source's new
+//! contribution and retracts its old one. Each metric has one slot, in
+//! name order, whose SUM is an exact accumulator (`ExactSum`), so the
+//! retraction leaves no rounding error behind and the reduction never
+//! depends on the order sources arrive in. An uncached root summary
+//! rounds each slot once — O(metrics), not O(sources) — and equals
+//! [`Store::root_summary_full`]'s from-scratch merge bit for bit; see
+//! DESIGN.md §18 for the slot rules and for why one lock beat lock
+//! sharding.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use ganglia_metrics::delta::SummaryDelta;
-use ganglia_metrics::model::{ClusterBody, ClusterNode, GridNode, HostNode, SummaryBody};
+use ganglia_metrics::model::{
+    ClusterBody, ClusterNode, GridNode, HostNode, MetricSummary, SummaryBody,
+};
 use ganglia_metrics::Atom;
 
+use crate::exact_sum::ExactSum;
 use crate::health::LifecyclePolicy;
 
 /// Freshness of a source's snapshot: the staleness lifecycle
@@ -183,20 +185,80 @@ impl SourceState {
 /// returns — cached per revision, so repeated queries share one vector).
 pub type SourceListing = Arc<Vec<Arc<SourceState>>>;
 
-/// Default anti-drift cadence: the store re-merges its summary from
-/// scratch after this many applied deltas.
-pub const DEFAULT_REBUILD_ROUNDS: u64 = 64;
+/// One metric's slot in the root reduction.
+#[derive(Debug)]
+struct Slot {
+    sum: ExactSum,
+    num: i64,
+    /// Sources listing the metric: the slot lives while this is
+    /// nonzero, whatever their NUMs are.
+    contributors: i64,
+    /// The first contributor's entry, for TYPE, UNITS, SLOPE and SOURCE.
+    first: MetricSummary,
+}
+
+/// The exact reduction of a set of source summaries: host counts and
+/// one [`Slot`] per metric name, in name order. Adding and retracting
+/// are exact, so its state depends only on which summaries it holds.
+#[derive(Debug, Default)]
+struct Reduction {
+    hosts_up: i64,
+    hosts_down: i64,
+    slots: BTreeMap<Atom, Slot>,
+}
+
+impl Reduction {
+    /// Add a source's summary (`sign` 1), or retract one added before
+    /// (`sign` −1).
+    fn apply(&mut self, summary: &SummaryBody, sign: i64) {
+        self.hosts_up += sign * i64::from(summary.hosts_up);
+        self.hosts_down += sign * i64::from(summary.hosts_down);
+        for metric in &summary.metrics {
+            let slot = self
+                .slots
+                .entry(metric.name.clone())
+                .or_insert_with(|| Slot {
+                    sum: ExactSum::default(),
+                    num: 0,
+                    contributors: 0,
+                    first: metric.clone(),
+                });
+            slot.sum.add(metric.sum, sign);
+            slot.num += sign * i64::from(metric.num);
+            slot.contributors += sign;
+            if slot.contributors == 0 {
+                self.slots.remove(metric.name.as_str());
+            }
+        }
+    }
+
+    /// The reduction as a summary: each SUM rounded once, counts clamped
+    /// to `u32::MAX` as [`SummaryBody::merge`] saturates them.
+    fn summary(&self) -> SummaryBody {
+        let clamp = |count: i64| u32::try_from(count).unwrap_or(u32::MAX);
+        SummaryBody {
+            hosts_up: clamp(self.hosts_up),
+            hosts_down: clamp(self.hosts_down),
+            metrics: self
+                .slots
+                .values()
+                .map(|slot| MetricSummary {
+                    sum: slot.sum.value(),
+                    num: clamp(slot.num),
+                    ..slot.first.clone()
+                })
+                .collect(),
+        }
+    }
+}
 
 /// Everything the store's one lock guards: the level-one hash table
-/// plus the incrementally-maintained merge of its sources' summaries.
+/// plus the incrementally-maintained reduction of its sources'
+/// summaries.
 #[derive(Debug, Default)]
 struct Sources {
     by_name: HashMap<String, Arc<SourceState>>,
-    /// Merge of every source summary, maintained by [`SummaryDelta`]
-    /// application on each mutation.
-    summary: SummaryBody,
-    /// Deltas applied since the last from-scratch rebuild.
-    deltas_since_rebuild: u64,
+    reduction: Reduction,
 }
 
 /// Monotonic operation counters, mirrored into gmetad telemetry as
@@ -205,7 +267,6 @@ struct Sources {
 struct Counters {
     replaces: AtomicU64,
     deltas_applied: AtomicU64,
-    summary_rebuilds: AtomicU64,
     root_merges: AtomicU64,
     root_merge_inputs: AtomicU64,
     source_touches: AtomicU64,
@@ -214,17 +275,18 @@ struct Counters {
 
 /// A point-in-time snapshot of the store's operation counters.
 ///
-/// `root_merge_inputs / root_merges` is the number of summaries read
-/// per uncached root merge — exactly one, which is how the federation
-/// bench asserts the root path never walks the sources.
-/// `source_touches` counts per-source summary merges (anti-drift
-/// rebuilds and [`Store::root_summary_full`] calls), the cost the
-/// incremental path avoids.
+/// `deltas_applied` counts changed contributions folded into the root
+/// reduction (a replace whose summary `Arc` is the previous one's
+/// changes nothing and is not counted). `root_merge_inputs /
+/// root_merges` is the number of reductions read per uncached root
+/// merge — exactly one, which is how the federation bench asserts the
+/// root path never walks the sources. `source_touches` counts
+/// per-source summaries read by [`Store::root_summary_full`], the cost
+/// the incremental path avoids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     pub replaces: u64,
     pub deltas_applied: u64,
-    pub summary_rebuilds: u64,
     pub root_merges: u64,
     pub root_merge_inputs: u64,
     pub source_touches: u64,
@@ -239,9 +301,6 @@ type ListCache = RwLock<Option<(u64, SourceListing)>>;
 #[derive(Debug)]
 pub struct Store {
     sources: RwLock<Sources>,
-    /// How many deltas the summary absorbs before re-merging from
-    /// scratch (anti-drift; 0 = never rebuild).
-    rebuild_rounds: u64,
     /// Bumped on every mutation, inside the write lock; keys both
     /// caches below.
     revision: AtomicU64,
@@ -261,21 +320,10 @@ impl Default for Store {
 }
 
 impl Store {
-    /// An empty store with the default anti-drift cadence
-    /// ([`DEFAULT_REBUILD_ROUNDS`]).
+    /// An empty store.
     pub fn new() -> Store {
-        Store::with_rebuild_rounds(DEFAULT_REBUILD_ROUNDS)
-    }
-
-    /// An empty store that re-merges its summary from scratch after
-    /// every `rounds` applied deltas. `1` re-merges on every mutation
-    /// (the seed's full re-merge arithmetic, which the federation bench
-    /// uses as its reference path); `0` never rebuilds (pure incremental
-    /// maintenance).
-    pub fn with_rebuild_rounds(rounds: u64) -> Store {
         Store {
             sources: RwLock::new(Sources::default()),
-            rebuild_rounds: rounds,
             revision: AtomicU64::new(0),
             root_cache: RwLock::new(None),
             list_cache: RwLock::new(None),
@@ -288,7 +336,6 @@ impl Store {
         StoreStats {
             replaces: self.stats.replaces.load(Ordering::Relaxed),
             deltas_applied: self.stats.deltas_applied.load(Ordering::Relaxed),
-            summary_rebuilds: self.stats.summary_rebuilds.load(Ordering::Relaxed),
             root_merges: self.stats.root_merges.load(Ordering::Relaxed),
             root_merge_inputs: self.stats.root_merge_inputs.load(Ordering::Relaxed),
             source_touches: self.stats.source_touches.load(Ordering::Relaxed),
@@ -304,54 +351,41 @@ impl Store {
         self.revision.fetch_add(1, Ordering::Release);
     }
 
-    /// Fold one source's contribution change into the merged summary:
-    /// apply the delta, or — once per `rebuild_rounds` mutations —
-    /// re-merge from scratch to re-ground float drift.
-    fn absorb(&self, sources: &mut Sources, delta: SummaryDelta) {
-        if delta.is_empty() {
-            return;
+    /// Swap one source's contribution to the root reduction. The new
+    /// one goes in first, so a metric both list keeps its slot.
+    fn contribute(
+        &self,
+        reduction: &mut Reduction,
+        old: Option<&SummaryBody>,
+        new: Option<&SummaryBody>,
+    ) {
+        if let Some(new) = new {
+            reduction.apply(new, 1);
         }
-        if self.rebuild_rounds > 0 && sources.deltas_since_rebuild + 1 >= self.rebuild_rounds {
-            self.rebuild(sources);
-            return;
+        if let Some(old) = old {
+            reduction.apply(old, -1);
         }
-        delta.apply(&mut sources.summary);
-        sources.deltas_since_rebuild += 1;
         self.stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
-        #[cfg(debug_assertions)]
-        debug_check_drift(sources);
-    }
-
-    /// Re-merge the summary from every source (the anti-drift rebuild —
-    /// the only O(sources) step on the write path).
-    fn rebuild(&self, sources: &mut Sources) {
-        let mut merged = SummaryBody::default();
-        for source in sources.by_name.values() {
-            merged.merge(&source.summary);
-        }
-        sources.summary = merged;
-        sources.deltas_since_rebuild = 0;
-        self.stats
-            .source_touches
-            .fetch_add(sources.by_name.len() as u64, Ordering::Relaxed);
-        self.stats.summary_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Install a fresh snapshot for a source (a pointer swap).
     pub fn replace(&self, state: SourceState) {
         let incoming = Arc::new(state);
         let mut guard = self.sources.write();
-        let previous = guard
+        let sources = &mut *guard;
+        let previous = sources
             .by_name
             .insert(incoming.name.clone(), Arc::clone(&incoming));
-        let delta = match &previous {
+        match &previous {
             // The delta-aware ingest reinstalls the same summary `Arc`
-            // when nothing changed: skip even computing the diff.
-            Some(prev) if Arc::ptr_eq(&prev.summary, &incoming.summary) => SummaryDelta::default(),
-            Some(prev) => SummaryDelta::diff(&prev.summary, &incoming.summary),
-            None => SummaryDelta::addition(&incoming.summary),
-        };
-        self.absorb(&mut guard, delta);
+            // when nothing changed: the contribution is the same.
+            Some(prev) if Arc::ptr_eq(&prev.summary, &incoming.summary) => {}
+            prev => self.contribute(
+                &mut sources.reduction,
+                prev.as_ref().map(|p| &*p.summary),
+                Some(&incoming.summary),
+            ),
+        }
         self.stats.replaces.fetch_add(1, Ordering::Relaxed);
         self.bump();
     }
@@ -393,7 +427,7 @@ impl Store {
         let tn = now.saturating_sub(existing.updated_at);
         if tn > lifecycle.expire_after_secs {
             let removed = guard.by_name.remove(name).expect("present: checked above");
-            self.absorb(&mut guard, SummaryDelta::retraction(&removed.summary));
+            self.contribute(&mut guard.reduction, Some(&removed.summary), None);
             self.bump();
             return Degradation::Expired;
         }
@@ -401,7 +435,11 @@ impl Store {
             if matches!(existing.status, SourceStatus::Down { .. }) {
                 return Degradation::Down;
             }
-            let entry = guard.by_name.get_mut(name).expect("present: checked above");
+            let sources = &mut *guard;
+            let entry = sources
+                .by_name
+                .get_mut(name)
+                .expect("present: checked above");
             let old_summary = Arc::clone(&entry.summary);
             let snapshot = Arc::make_mut(entry);
             snapshot.status = SourceStatus::Down { since: now };
@@ -410,8 +448,11 @@ impl Store {
                 hosts_down: old_summary.hosts_total(),
                 metrics: Vec::new(),
             });
-            let delta = SummaryDelta::diff(&old_summary, &snapshot.summary);
-            self.absorb(&mut guard, delta);
+            self.contribute(
+                &mut sources.reduction,
+                Some(&old_summary),
+                Some(&snapshot.summary),
+            );
             self.bump();
             return Degradation::Down;
         }
@@ -476,16 +517,17 @@ impl Store {
         let Some(removed) = guard.by_name.remove(name) else {
             return false;
         };
-        self.absorb(&mut guard, SummaryDelta::retraction(&removed.summary));
+        self.contribute(&mut guard.reduction, Some(&removed.summary), None);
         self.bump();
         true
     }
 
     /// The merged summary of every source — the whole grid in one
-    /// reduction. O(metrics), not O(sources): the store already holds
-    /// the incrementally-maintained merge, so an uncached call copies
-    /// that one summary. Cached per store revision so repeated meta-view
-    /// queries cost O(1) after the first.
+    /// reduction, its metrics in name order. O(metrics), not
+    /// O(sources): the store already holds the incrementally-maintained
+    /// reduction, so an uncached call rounds each of its slots once.
+    /// Cached per store revision so repeated meta-view queries cost O(1)
+    /// after the first.
     ///
     /// The revision is read *while holding the read lock*, so the
     /// (revision, summary) pair is always consistent: every writer bumps
@@ -503,7 +545,7 @@ impl Store {
         }
         let guard = self.sources.read();
         let revision = self.revision.load(Ordering::Acquire);
-        let merged = Arc::new(guard.summary.clone());
+        let merged = Arc::new(guard.reduction.summary());
         drop(guard);
         self.stats.root_merges.fetch_add(1, Ordering::Relaxed);
         self.stats.root_merge_inputs.fetch_add(1, Ordering::Relaxed);
@@ -516,66 +558,27 @@ impl Store {
         merged
     }
 
-    /// The root summary re-merged from every *source* (not the
-    /// incremental summary), with the revision it corresponds to — the
-    /// O(sources × metrics) reference path the incremental maintenance
-    /// replaced. Kept for verification: tests and the federation bench
-    /// assert [`Store::root_summary`] never drifts from this.
+    /// The root summary reduced from scratch over every *source*, with
+    /// the revision it corresponds to — the O(sources × metrics) path the
+    /// incremental reduction replaced. It is the test oracle: the
+    /// reduction is exact, so [`Store::root_summary`] must equal this bit
+    /// for bit after any sequence of mutations, in any order.
     pub fn root_summary_full(&self) -> (u64, SummaryBody) {
         let guard = self.sources.read();
         let revision = self.revision.load(Ordering::Acquire);
-        let mut entries: Vec<&Arc<SourceState>> = guard.by_name.values().collect();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut merged = SummaryBody::default();
-        for source in &entries {
-            merged.merge(&source.summary);
+        let mut reduction = Reduction::default();
+        for source in guard.by_name.values() {
+            reduction.apply(&source.summary, 1);
         }
         self.stats
             .source_touches
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        (revision, merged)
+            .fetch_add(guard.by_name.len() as u64, Ordering::Relaxed);
+        (revision, reduction.summary())
     }
 
     /// Current revision (bumps on every mutation).
     pub fn revision(&self) -> u64 {
         self.revision.load(Ordering::Acquire)
-    }
-}
-
-/// Debug-build guard: after each delta application, require the merged
-/// summary to still match a from-scratch re-merge (exact integer counts;
-/// sums within float-drift tolerance). Skipped for big stores (the check
-/// is O(sources)) and for non-finite sums (NaN/inf are not comparable
-/// and are re-grounded by the periodic rebuild anyway).
-#[cfg(debug_assertions)]
-fn debug_check_drift(sources: &Sources) {
-    if sources.by_name.len() > 64 {
-        return;
-    }
-    let mut expected = SummaryBody::default();
-    for source in sources.by_name.values() {
-        expected.merge(&source.summary);
-    }
-    let incremental = &sources.summary;
-    debug_assert_eq!(incremental.hosts_up, expected.hosts_up);
-    debug_assert_eq!(incremental.hosts_down, expected.hosts_down);
-    debug_assert_eq!(incremental.metrics.len(), expected.metrics.len());
-    for metric in &expected.metrics {
-        let Some(ours) = incremental.metric(metric.name.as_str()) else {
-            panic!("incremental summary lost metric {}", metric.name);
-        };
-        debug_assert_eq!(ours.num, metric.num, "NUM drift on {}", metric.name);
-        if !ours.sum.is_finite() || !metric.sum.is_finite() {
-            continue;
-        }
-        let tolerance = 1e-6 * metric.sum.abs().max(1.0);
-        debug_assert!(
-            (ours.sum - metric.sum).abs() <= tolerance,
-            "SUM drift on {}: incremental {} vs full {}",
-            metric.name,
-            ours.sum,
-            metric.sum
-        );
     }
 }
 
@@ -599,16 +602,54 @@ mod tests {
         SourceState::cluster(name, cluster, summary, now)
     }
 
-    /// Order-insensitive exact equality: metric order in a merged
-    /// summary is a merge-history artifact, not part of its value.
-    fn same_value(a: &SummaryBody, b: &SummaryBody) -> bool {
-        a.hosts_up == b.hosts_up
-            && a.hosts_down == b.hosts_down
-            && a.metrics.len() == b.metrics.len()
-            && a.metrics.iter().all(|m| {
-                b.metric(m.name.as_str())
-                    .is_some_and(|o| o.sum.to_bits() == m.sum.to_bits() && o.num == m.num)
-            })
+    /// A grid source whose stored summary lists `metrics` as
+    /// `(name, SUM, NUM)`.
+    fn grid_state(name: &str, hosts_up: u32, metrics: &[(&str, f64, u32)]) -> SourceState {
+        use ganglia_metrics::model::{GridBody, GridNode};
+        let summary = SummaryBody {
+            hosts_up,
+            hosts_down: 0,
+            metrics: metrics
+                .iter()
+                .map(|&(metric, sum, num)| MetricSummary {
+                    name: metric.into(),
+                    sum,
+                    num,
+                    ty: ganglia_metrics::MetricType::Double,
+                    units: "units".into(),
+                    slope: ganglia_metrics::Slope::Both,
+                    source: "gmond".into(),
+                })
+                .collect(),
+        };
+        let grid = GridNode {
+            name: name.into(),
+            authority: format!("http://{name}/"),
+            localtime: None,
+            body: GridBody::Summary(summary.clone()),
+        };
+        SourceState::grid(name, grid, summary, 0)
+    }
+
+    /// A summary with every SUM as its bits (NaN payloads folded to
+    /// one), metrics in the order given: `-0` and `0` differ, NaN
+    /// matches NaN, and slot order counts.
+    fn bits(summary: &SummaryBody) -> (u32, u32, Vec<(String, u64, u32)>) {
+        let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+        let metrics = summary
+            .metrics
+            .iter()
+            .map(|m| (m.name.to_string(), canonical(m.sum), m.num))
+            .collect();
+        (summary.hosts_up, summary.hosts_down, metrics)
+    }
+
+    /// Check the incremental root summary against the from-scratch
+    /// oracle, bit for bit.
+    fn assert_exact(store: &Store, step: &str) {
+        let (_, full) = store.root_summary_full();
+        let incremental = store.root_summary();
+        assert_eq!(bits(&incremental), bits(&full), "{step}");
     }
 
     #[test]
@@ -788,43 +829,107 @@ mod tests {
 
     #[test]
     fn incremental_summary_matches_full_remerge_through_lifecycle() {
-        // Small rebuild cadence so the scripted walk crosses several
-        // anti-drift rebuilds; dyadic loads keep float math exact.
         let lifecycle = LifecyclePolicy {
             down_after_secs: 60,
             expire_after_secs: 600,
         };
-        let store = Store::with_rebuild_rounds(4);
-        let check = |step: &str| {
-            let (_, full) = store.root_summary_full();
-            let incremental = store.root_summary();
-            assert!(
-                same_value(&incremental, &full),
-                "{step}: incremental {incremental:?} != full {full:?}"
-            );
-        };
+        let store = Store::new();
         for i in 0..12 {
-            store.replace(cluster_state(&format!("g{i}"), i + 1, 0.25 * i as f64, 100));
-            check("seed replace");
+            store.replace(cluster_state(&format!("g{i}"), i + 1, 0.1 * i as f64, 100));
+            assert_exact(&store, "seed replace");
         }
         for i in 0..12 {
-            store.replace(cluster_state(&format!("g{i}"), i + 2, 0.5 * i as f64, 110));
-            check("re-replace");
+            store.replace(cluster_state(&format!("g{i}"), i + 2, i as f64 / 3.0, 110));
+            assert_exact(&store, "re-replace");
         }
         store.degrade("g3", 170, &lifecycle); // stale
-        check("stale");
+        assert_exact(&store, "stale");
         store.degrade("g4", 250, &lifecycle); // down: summary rewritten
-        check("down");
+        assert_exact(&store, "down");
         store.degrade("g5", 800, &lifecycle); // expired: retracted
-        check("expired");
+        assert_exact(&store, "expired");
         assert!(store.remove("g6"));
-        check("removed");
-        store.replace(cluster_state("g4", 9, 1.75, 900)); // heal
-        check("healed");
+        assert_exact(&store, "removed");
+        store.replace(cluster_state("g4", 9, 1.7, 900)); // heal
+        assert_exact(&store, "healed");
         assert!(store.get("g5").is_none());
-        let stats = store.stats();
-        assert!(stats.deltas_applied > 0, "delta path never exercised");
-        assert!(stats.summary_rebuilds > 0, "rebuild path never exercised");
+        assert!(
+            store.stats().deltas_applied > 0,
+            "incremental path never exercised"
+        );
+    }
+
+    #[test]
+    fn root_sums_are_exact_and_order_free() {
+        // A running f64 sum gives 0.6000000000000001 in this order and
+        // 0.6 in the reverse one; the exact sum rounds to 0.6 in both.
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let store = Store::new();
+            for i in order {
+                let load = [0.1, 0.2, 0.3][i];
+                store.replace(grid_state(&format!("s{i}"), 1, &[("load_one", load, 1)]));
+            }
+            assert_eq!(store.root_summary().metric("load_one").unwrap().sum, 0.6);
+            assert_exact(&store, "0.1 + 0.2 + 0.3");
+        }
+        // No intermediate overflow.
+        let store = Store::new();
+        for (i, sum) in [1e308, 1e308, -1e308].into_iter().enumerate() {
+            store.replace(grid_state(&format!("s{i}"), 1, &[("disk_total", sum, 1)]));
+        }
+        assert_eq!(
+            store.root_summary().metric("disk_total").unwrap().sum,
+            1e308
+        );
+    }
+
+    #[test]
+    fn replacing_a_sum_with_negative_zero_keeps_the_sign() {
+        let store = Store::new();
+        store.replace(grid_state("a", 1, &[("cpu_idle", 5.0, 1)]));
+        store.replace(grid_state("a", 1, &[("cpu_idle", -0.0, 1)]));
+        let sum = store.root_summary().metric("cpu_idle").unwrap().sum;
+        assert_eq!(sum.to_bits(), (-0.0f64).to_bits());
+        assert_exact(&store, "-0");
+        // A +0 contribution beside it makes the sum +0.
+        store.replace(grid_state("b", 1, &[("cpu_idle", 0.0, 1)]));
+        let sum = store.root_summary().metric("cpu_idle").unwrap().sum;
+        assert_eq!(sum.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn slots_live_while_a_source_lists_the_metric() {
+        let store = Store::new();
+        store.replace(grid_state(
+            "a",
+            2,
+            &[("zeta", 1.0, 2), ("gpu_temp", 0.0, 0)],
+        ));
+        store.replace(grid_state("b", 2, &[("alpha", 3.0, 2)]));
+        let summary = store.root_summary();
+        // NUM=0 keeps its slot; slots come in name order.
+        let names: Vec<&str> = summary.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["alpha", "gpu_temp", "zeta"]);
+        assert_eq!(summary.metric("gpu_temp").unwrap().num, 0);
+        assert_exact(&store, "NUM=0");
+        store.replace(grid_state("a", 2, &[("zeta", 1.0, 2)]));
+        assert!(store.root_summary().metric("gpu_temp").is_none());
+        assert_exact(&store, "last contributor gone");
+    }
+
+    #[test]
+    fn host_counts_clamp_at_u32_max() {
+        let store = Store::new();
+        store.replace(grid_state("a", u32::MAX, &[("load_one", 1.0, u32::MAX)]));
+        store.replace(grid_state("b", 2, &[("load_one", 1.0, 2)]));
+        let summary = store.root_summary();
+        assert_eq!(summary.hosts_up, u32::MAX);
+        assert_eq!(summary.metric("load_one").unwrap().num, u32::MAX);
+        assert_exact(&store, "clamped");
+        // The clamp is applied on the way out: retracting brings the
+        // exact count back.
+        store.remove("a");
+        assert_eq!(store.root_summary().hosts_up, 2);
     }
 
     #[test]
@@ -842,7 +947,7 @@ mod tests {
         // the from-scratch path whenever the revision is stable around
         // it.
         use std::sync::atomic::AtomicBool;
-        let store = Store::with_rebuild_rounds(4);
+        let store = Store::new();
         const SOURCES: usize = 16;
         const HOSTS_PER_SOURCE: usize = 3;
         for i in 0..SOURCES {
@@ -862,11 +967,8 @@ mod tests {
                         let (full_rev, full) = store.root_summary_full();
                         if before == full_rev && store.revision() == full_rev {
                             // No mutation in the window: the incremental
-                            // merge must equal the from-scratch one.
-                            assert!(
-                                same_value(&summary, &full),
-                                "drift at revision {full_rev}: {summary:?} vs {full:?}"
-                            );
+                            // reduction must equal the from-scratch one.
+                            assert_eq!(bits(&summary), bits(&full), "at revision {full_rev}");
                         }
                     }
                 });
@@ -877,7 +979,7 @@ mod tests {
                     scope.spawn(move || {
                         for round in 1..=64u64 {
                             for i in (writer..SOURCES).step_by(4) {
-                                let load = 0.25 * (round as f64) + i as f64;
+                                let load = 0.1 * (round as f64) + i as f64 / 3.0;
                                 store.replace(cluster_state(
                                     &format!("s{i}"),
                                     HOSTS_PER_SOURCE,
@@ -901,7 +1003,7 @@ mod tests {
             expected_total,
             "cache pinned a stale merge under the latest revision"
         );
-        assert!(same_value(&summary, &full), "final state drifted");
+        assert_eq!(bits(&summary), bits(&full), "final state");
         // And once consistent, repeated reads hit the cache.
         let a = store.root_summary();
         let b = store.root_summary();
@@ -920,7 +1022,7 @@ mod tests {
 
     #[test]
     fn root_merges_read_one_summary_not_sources() {
-        let store = Store::with_rebuild_rounds(0); // pure incremental
+        let store = Store::new();
         for i in 0..32 {
             store.replace(cluster_state(&format!("g{i}"), 2, 0.5, 0));
         }
@@ -931,7 +1033,7 @@ mod tests {
         assert_eq!(
             after.root_merge_inputs - before.root_merge_inputs,
             1,
-            "uncached root merge must read exactly the merged summary"
+            "uncached root merge must read exactly the one reduction"
         );
         assert_eq!(
             after.source_touches, before.source_touches,
@@ -963,13 +1065,22 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        const NAMES: [&str; 6] = [
+            "bytes_in",
+            "cpu_idle",
+            "disk_total",
+            "load_one",
+            "mem_free",
+            "pkts_out",
+        ];
+
         #[derive(Debug, Clone)]
         enum Op {
-            /// Replace source `idx` with `hosts` hosts at a dyadic load.
+            /// Replace source `idx` with a grid summary.
             Replace {
                 idx: usize,
-                hosts: usize,
-                eighths: i32,
+                hosts: u32,
+                metrics: Vec<(usize, f64, u32)>,
             },
             /// Fail source `idx` with the given poll-gap in seconds.
             Degrade {
@@ -984,41 +1095,94 @@ mod tests {
             },
         }
 
-        fn arb_op() -> impl Strategy<Value = Op> {
+        /// Arbitrary sums: raw bit patterns (every class of double),
+        /// then the edges singled out — signed zeros, NaN, infinities,
+        /// subnormals, values near `f64::MAX` — and non-dyadic decimals.
+        fn arb_sum() -> impl Strategy<Value = f64> {
+            let exponent = |bits: u64, e: u64| (bits & !(0x7ff << 52)) | (e << 52);
             prop_oneof![
-                4 => (0usize..12, 1usize..6, -64i32..64)
-                    .prop_map(|(idx, hosts, eighths)| Op::Replace { idx, hosts, eighths }),
-                2 => (0usize..12, prop_oneof![Just(30u64), Just(120), Just(700)])
-                    .prop_map(|(idx, gap)| Op::Degrade { idx, gap }),
-                1 => (0usize..12).prop_map(|idx| Op::MarkStale { idx }),
-                1 => (0usize..12).prop_map(|idx| Op::Remove { idx }),
+                3 => any::<u64>().prop_map(f64::from_bits),
+                1 => prop_oneof![
+                    Just(0.0),
+                    Just(-0.0),
+                    Just(f64::NAN),
+                    Just(f64::INFINITY),
+                    Just(f64::NEG_INFINITY),
+                ],
+                1 => any::<u64>().prop_map(move |b| f64::from_bits(exponent(b, 0))),
+                1 => any::<u64>().prop_map(move |b| f64::from_bits(exponent(b, 0x7fe))),
+                3 => (-100_000i32..100_000).prop_map(|n| f64::from(n) / 10.0),
             ]
         }
 
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let metrics = proptest::collection::vec((0..NAMES.len(), arb_sum(), 0u32..8), 0..5);
+            let hosts = prop_oneof![4 => 0u32..6, 1 => Just(u32::MAX)];
+            prop_oneof![
+                4 => (0usize..8, hosts, metrics)
+                    .prop_map(|(idx, hosts, metrics)| Op::Replace { idx, hosts, metrics }),
+                2 => (0usize..8, prop_oneof![Just(30u64), Just(120), Just(700)])
+                    .prop_map(|(idx, gap)| Op::Degrade { idx, gap }),
+                1 => (0usize..8).prop_map(|idx| Op::MarkStale { idx }),
+                1 => (0usize..8).prop_map(|idx| Op::Remove { idx }),
+            ]
+        }
+
+        fn replace(store: &Store, idx: usize, hosts: u32, metrics: &[(usize, f64, u32)], now: u64) {
+            // One entry per name, as a summarizer emits.
+            let mut listed: Vec<(&str, f64, u32)> = Vec::new();
+            for &(name, sum, num) in metrics {
+                if listed.iter().all(|(seen, _, _)| *seen != NAMES[name]) {
+                    listed.push((NAMES[name], sum, num));
+                }
+            }
+            let mut state = grid_state(&format!("src{idx}"), hosts, &listed);
+            state.updated_at = now;
+            store.replace(state);
+        }
+
+        /// The live sources, installed into a fresh store in an order
+        /// shuffled by `seed`.
+        fn shuffled_copy(store: &Store, mut seed: u64) -> Store {
+            let mut live: Vec<Arc<SourceState>> = store.list().to_vec();
+            for i in (1..live.len()).rev() {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                live.swap(i, (seed % (i as u64 + 1)) as usize);
+            }
+            let copy = Store::new();
+            for source in live {
+                copy.replace((*source).clone());
+            }
+            copy
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-            /// Any interleaving of replace/degrade/stale/remove across
-            /// sources keeps the incremental root summary bit-identical
-            /// (dyadic loads) to a from-scratch merge of the sources.
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            /// Any interleaving of replace/degrade/stale/remove, over any
+            /// sums at all, keeps the incremental root summary equal to a
+            /// from-scratch reduction of the sources — slot order and
+            /// bits — and to a store fed the same sources in another order.
             #[test]
-            fn incremental_root_summary_never_drifts(ops in proptest::collection::vec(arb_op(), 1..48)) {
+            fn incremental_root_summary_is_exact_and_order_free(
+                ops in proptest::collection::vec(arb_op(), 1..48),
+                seed in any::<u64>(),
+            ) {
                 let lifecycle = LifecyclePolicy {
                     down_after_secs: 60,
                     expire_after_secs: 600,
                 };
-                // Tiny rebuild cadence: exercise both the delta and the
-                // rebuild path.
-                let store = Store::with_rebuild_rounds(3);
+                let store = Store::new();
                 let mut clock = 100u64;
                 for op in &ops {
                     clock += 1;
-                    match *op {
-                        Op::Replace { idx, hosts, eighths } => {
-                            let load = f64::from(eighths) / 8.0;
-                            store.replace(cluster_state(&format!("src{idx}"), hosts, load, clock));
+                    match op {
+                        Op::Replace { idx, hosts, metrics } => {
+                            replace(&store, *idx, *hosts, metrics, clock);
                         }
                         Op::Degrade { idx, gap } => {
-                            store.degrade(&format!("src{idx}"), clock.saturating_add(gap), &lifecycle);
+                            store.degrade(&format!("src{idx}"), clock + gap, &lifecycle);
                         }
                         Op::MarkStale { idx } => store.mark_stale(&format!("src{idx}"), clock),
                         Op::Remove { idx } => {
@@ -1028,11 +1192,9 @@ mod tests {
                     let (full_rev, full) = store.root_summary_full();
                     let incremental = store.root_summary();
                     prop_assert_eq!(full_rev, store.revision());
-                    prop_assert!(
-                        same_value(&incremental, &full),
-                        "after {:?}: incremental {:?} != full {:?}",
-                        op, incremental, full
-                    );
+                    prop_assert_eq!(bits(&incremental), bits(&full), "after {:?}", op);
+                    let shuffled = shuffled_copy(&store, seed | 1).root_summary();
+                    prop_assert_eq!(bits(&shuffled), bits(&incremental), "shuffled, after {:?}", op);
                 }
             }
         }

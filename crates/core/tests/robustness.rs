@@ -55,6 +55,37 @@ fn a_report_with_no_cluster_or_grid_is_a_failed_poll() {
 }
 
 #[test]
+fn summary_counts_past_u32_saturate_instead_of_overflowing() {
+    // UP and NUM arrive as u32 from the wire; a child grid whose
+    // clusters add past u32::MAX must not overflow the parent's fold
+    // (a debug build panicked, a release build wrapped to UP=1).
+    let net = SimNet::new(1);
+    let (body, _guard) = serve_canned(&net, "child/n0");
+    let cluster = |name: &str, up: u32| {
+        format!(
+            r#"<CLUSTER NAME="{name}" LOCALTIME="10" OWNER="" LATLONG="" URL="">
+<HOSTS UP="{up}" DOWN="0" SOURCE="gmetad"/>
+<METRICS NAME="load_one" SUM="1.5" NUM="{up}" TYPE="float" UNITS="" SLOPE="both" SOURCE="gmond"/>
+</CLUSTER>"#
+        )
+    };
+    *body.lock() = format!(
+        r#"<GANGLIA_XML VERSION="3.0" SOURCE="gmetad"><GRID NAME="wide" AUTHORITY="http://wide/" LOCALTIME="10">{}{}</GRID></GANGLIA_XML>"#,
+        cluster("a", u32::MAX),
+        cluster("b", 2)
+    );
+    let gmetad = daemon(&net, "child/n0");
+    for result in gmetad.poll_all(&net, 15) {
+        result.expect("the report is well-formed");
+    }
+    let state = gmetad.store().get("child").expect("stored");
+    assert_eq!(state.summary.hosts_up, u32::MAX);
+    assert_eq!(state.summary.metric("load_one").unwrap().num, u32::MAX);
+    assert_eq!(state.summary.metric("load_one").unwrap().sum, 3.0);
+    assert_eq!(gmetad.store().root_summary().hosts_up, u32::MAX);
+}
+
+#[test]
 fn empty_cluster_is_fine() {
     let net = SimNet::new(1);
     let (body, _guard) = serve_canned(&net, "child/n0");

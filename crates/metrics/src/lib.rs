@@ -23,9 +23,6 @@
 //! * [`atom`] — the intern table behind the model's [`atom::Atom`] name
 //!   fields: the same few hundred strings repeat across every host and
 //!   every round, so they are stored once and shared;
-//! * [`delta`] — signed diffs between summary contributions
-//!   ([`delta::SummaryDelta`]), the algebra behind the store's
-//!   incremental root-summary maintenance;
 //! * [`ingest`] — the delta-aware parse path: runs the same walk with a
 //!   host hook that fingerprints each `<HOST>` subtree and reuses the
 //!   previous round's `Arc`'d nodes and summary contributions when the
@@ -34,7 +31,6 @@
 pub mod atom;
 pub mod codec;
 pub mod definition;
-pub mod delta;
 pub mod ingest;
 pub mod model;
 pub mod slope;
@@ -46,7 +42,6 @@ pub use codec::{
     render_document_into, write_document, write_document_hinted, ParseError, RenderHint,
 };
 pub use definition::{builtin_metrics, MetricDefinition, MetricRegistry};
-pub use delta::{MetricDelta, SummaryDelta};
 pub use ingest::{fingerprint64, IngestStats, Ingested, Ingester};
 pub use model::{
     ClusterBody, ClusterNode, GangliaDoc, GridBody, GridItem, GridNode, HostNode, MetricEntry,

@@ -204,24 +204,25 @@ impl SummaryBody {
 
     /// Merge another summary into this one. This is the additive
     /// composition step a gmeta performs when rolling child summaries up
-    /// into a grid summary.
+    /// into a grid summary. The counts come off the wire, so they
+    /// saturate at `u32::MAX` instead of overflowing.
     pub fn merge(&mut self, other: &SummaryBody) {
-        self.hosts_up += other.hosts_up;
-        self.hosts_down += other.hosts_down;
+        self.hosts_up = self.hosts_up.saturating_add(other.hosts_up);
+        self.hosts_down = self.hosts_down.saturating_add(other.hosts_down);
         for theirs in &other.metrics {
             match self.metrics.iter_mut().find(|m| m.name == theirs.name) {
                 Some(mine) => {
                     mine.sum += theirs.sum;
-                    mine.num += theirs.num;
+                    mine.num = mine.num.saturating_add(theirs.num);
                 }
                 None => self.metrics.push(theirs.clone()),
             }
         }
     }
 
-    /// Total hosts covered by this summary.
+    /// Total hosts covered by this summary (saturating at `u32::MAX`).
     pub fn hosts_total(&self) -> u32 {
-        self.hosts_up + self.hosts_down
+        self.hosts_up.saturating_add(self.hosts_down)
     }
 
     /// Look up a metric summary by name.
@@ -513,6 +514,29 @@ mod tests {
         assert_eq!(m.num, 20);
         // The paper's fig 3 example: SUM=20 NUM=10 means mean 2 CPUs.
         assert_eq!(m.mean(), Some(2.0));
+    }
+
+    #[test]
+    fn merge_saturates_counts_from_the_wire() {
+        let wide = |up: u32, down: u32, num: u32| SummaryBody {
+            hosts_up: up,
+            hosts_down: down,
+            metrics: vec![MetricSummary {
+                name: "cpu_num".into(),
+                sum: 1.0,
+                num,
+                ty: MetricType::Uint16,
+                units: "CPUs".into(),
+                slope: Slope::Zero,
+                source: "gmond".into(),
+            }],
+        };
+        let mut merged = wide(u32::MAX, 1, u32::MAX);
+        merged.merge(&wide(2, u32::MAX, 2));
+        assert_eq!(merged.hosts_up, u32::MAX);
+        assert_eq!(merged.hosts_down, u32::MAX);
+        assert_eq!(merged.metric("cpu_num").unwrap().num, u32::MAX);
+        assert_eq!(merged.hosts_total(), u32::MAX);
     }
 
     #[test]

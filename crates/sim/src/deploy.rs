@@ -42,9 +42,6 @@ pub struct DeploymentParams {
     /// Whether monitors publish their own telemetry as a synthetic
     /// `{name}-monitor` cluster each round ("monitor the monitor").
     pub self_telemetry: bool,
-    /// Poll workers per monitor (`0` = automatic, `1` = the old
-    /// sequential round).
-    pub poll_concurrency: usize,
 }
 
 impl Default for DeploymentParams {
@@ -57,7 +54,6 @@ impl Default for DeploymentParams {
             redundant_addrs: 2,
             archive: true,
             self_telemetry: false,
-            poll_concurrency: 0,
         }
     }
 }
@@ -72,12 +68,6 @@ impl DeploymentParams {
     /// Same parameters with self-telemetry publication toggled.
     pub fn with_self_telemetry(mut self, on: bool) -> Self {
         self.self_telemetry = on;
-        self
-    }
-
-    /// Same parameters with a pinned poll worker count.
-    pub fn with_poll_concurrency(mut self, workers: usize) -> Self {
-        self.poll_concurrency = workers;
         self
     }
 }
@@ -132,8 +122,7 @@ impl Deployment {
             let mut config = GmetadConfig::new(&monitor.name)
                 .with_mode(params.mode)
                 .with_full_dump_links(params.full_dump_links)
-                .with_self_telemetry(params.self_telemetry)
-                .with_poll_concurrency(params.poll_concurrency);
+                .with_self_telemetry(params.self_telemetry);
             config.poll_interval = params.poll_interval;
             config.archive = if params.archive {
                 ArchiveMode::InMemory

@@ -14,16 +14,17 @@
 //!    chased by a federation query — and once replace-only, the write
 //!    path parallel poll workers take. The baseline is a faithful
 //!    replica of the seed store (one `RwLock<HashMap>`, full
-//!    O(sources·metrics) re-merge per root refresh); the store copies
-//!    one incrementally-maintained summary per refresh instead, and
-//!    pays a summary delta per replace.
+//!    O(sources·metrics) re-merge per root refresh); the store rounds
+//!    its incrementally-maintained exact reduction once per refresh
+//!    instead, and pays an exact add and retract per metric per replace.
 //! 2. **Root-query latency vs source count** — flat because the
 //!    incremental root path never touches per-source summaries.
 //! 3. **Per-level CPU of the N-level tree** (leaf grids → mid gmetads →
 //!    root), the paper's hierarchical-aggregation cost breakdown.
-//! 4. **Byte identity**: the purely incremental store and a
-//!    rebuild-every-mutation store (the seed's arithmetic) render
-//!    identical `/?filter=summary` XML across churn levels.
+//! 4. **Byte identity**: across churn levels, the churned store renders
+//!    the same `/?filter=summary` XML as a fresh store filled with its
+//!    final sources in reverse order, and its root summary equals the
+//!    from-scratch reduction bit for bit.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +47,7 @@ pub struct FederationParams {
     pub grids: usize,
     /// Synthetic hosts summarized inside each grid source.
     pub hosts_per_grid: u32,
-    /// Uniform metric set per source (uniform names keep merge order —
-    /// and therefore rendered XML — independent of source order).
+    /// Uniform metric set per source.
     pub metrics_per_host: usize,
     /// Concurrent writer threads in the throughput stage.
     pub writers: usize,
@@ -109,8 +109,8 @@ pub struct ThroughputRow {
     /// Summaries read per uncached root merge (the store only: exactly
     /// one — the witness that the root path never walks the sources).
     pub root_merge_inputs_per_merge: f64,
-    /// Per-source summary merges during the run (the store only: stays
-    /// at zero when the incremental path never falls back).
+    /// Per-source summaries read during the run (the store only: stays
+    /// at zero, the incremental path never reads them).
     pub source_touches: u64,
 }
 
@@ -151,8 +151,9 @@ pub struct LevelRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdentityRow {
     pub churn_percent: u32,
-    /// Rendered `/?filter=summary` bytes match the
-    /// rebuild-every-mutation store on every round.
+    /// On every round, the rendered `/?filter=summary` bytes match a
+    /// fresh store filled in reverse order, and the root summary matches
+    /// [`Store::root_summary_full`] bit for bit.
     pub identical: bool,
     /// Bytes of the final rendered document.
     pub response_bytes: usize,
@@ -186,11 +187,11 @@ fn next_rand(state: &mut u64) -> u64 {
     x
 }
 
-/// A dyadic rational (multiple of 1/8): exactly representable, so the
-/// incremental S − old + new arithmetic is bit-identical to a
-/// from-scratch merge and the byte-identity sweep is meaningful.
-fn dyadic(r: u64) -> f64 {
-    (r % 4096) as f64 / 8.0
+/// A per-host reading in sevenths: not dyadic, so sums of them round,
+/// and a root reduction that depended on the order or history of its
+/// additions would show it in the byte-identity sweep.
+fn reading(r: u64) -> f64 {
+    (r % 4096) as f64 / 7.0
 }
 
 /// Synthesize one grid source's summary: `hosts` hosts up, a uniform
@@ -204,7 +205,7 @@ fn grid_summary(hosts: u32, metrics: usize, rng: &mut u64) -> SummaryBody {
     for m in 0..metrics {
         body.metrics.push(MetricSummary {
             name: format!("metric_{m:02}").into(),
-            sum: dyadic(next_rand(rng)) * f64::from(hosts),
+            sum: reading(next_rand(rng)) * f64::from(hosts),
             num: hosts,
             ty: MetricType::Double,
             units: "units".into(),
@@ -400,7 +401,7 @@ fn measure_latency(params: &FederationParams) -> Vec<LatencyRow> {
         .iter()
         .map(|&scale| {
             let sources = params.grids * scale;
-            let store = Store::with_rebuild_rounds(0);
+            let store = Store::new();
             populate(&store, sources, params, 13);
             let mut rng = 17;
             let mut best = f64::INFINITY;
@@ -502,10 +503,11 @@ fn render_summary(store: &Store, config: &GmetadConfig, query: &Query) -> String
     query_engine::answer(store, config, query, 12345)
 }
 
-/// Churn sweep: after every round the purely incremental store must
-/// render byte-identical XML to a store that rebuilds its summary from
-/// scratch on every mutation (`with_rebuild_rounds(1)` — the seed's
-/// arithmetic expressed through the same store).
+/// Churn sweep: after every round the churned store must render
+/// byte-identical XML to a fresh store filled with the same sources in
+/// reverse name order, and its root summary must equal the from-scratch
+/// reduction bit for bit (`Debug` prints every distinct `f64`
+/// differently).
 fn measure_identity(params: &FederationParams) -> Vec<IdentityRow> {
     let config = GmetadConfig::new("federation");
     let query = Query::parse("/?filter=summary").expect("static query parses");
@@ -513,21 +515,11 @@ fn measure_identity(params: &FederationParams) -> Vec<IdentityRow> {
         .churn_percents
         .iter()
         .map(|&churn| {
-            let incremental = Store::with_rebuild_rounds(0);
-            let seed_path = Store::with_rebuild_rounds(1);
+            let churned = Store::new();
             let mut build_rng = 23;
             for i in 0..params.grids {
-                let name = source_name(i);
-                let mut clone_rng = build_rng;
-                incremental.replace(grid_source(
-                    &name,
-                    params.hosts_per_grid,
-                    params.metrics_per_host,
-                    &mut clone_rng,
-                    100,
-                ));
-                seed_path.replace(grid_source(
-                    &name,
+                churned.replace(grid_source(
+                    &source_name(i),
                     params.hosts_per_grid,
                     params.metrics_per_host,
                     &mut build_rng,
@@ -541,26 +533,22 @@ fn measure_identity(params: &FederationParams) -> Vec<IdentityRow> {
             for round in 0..params.rounds.max(2) {
                 for r in 0..rewrites {
                     let idx = next_rand(&mut churn_rng) as usize % params.grids;
-                    let name = source_name(idx);
-                    let mut clone_rng = churn_rng;
-                    incremental.replace(grid_source(
-                        &name,
-                        params.hosts_per_grid,
-                        params.metrics_per_host,
-                        &mut clone_rng,
-                        200 + (round * rewrites + r) as u64,
-                    ));
-                    seed_path.replace(grid_source(
-                        &name,
+                    churned.replace(grid_source(
+                        &source_name(idx),
                         params.hosts_per_grid,
                         params.metrics_per_host,
                         &mut churn_rng,
                         200 + (round * rewrites + r) as u64,
                     ));
                 }
-                let ours = render_summary(&incremental, &config, &query);
-                let theirs = render_summary(&seed_path, &config, &query);
-                identical &= ours == theirs;
+                let fresh = Store::new();
+                for source in churned.list().iter().rev() {
+                    fresh.replace((**source).clone());
+                }
+                let ours = render_summary(&churned, &config, &query);
+                identical &= ours == render_summary(&fresh, &config, &query);
+                let (_, full) = churned.root_summary_full();
+                identical &= format!("{:?}", churned.root_summary()) == format!("{full:?}");
                 response_bytes = ours.len();
             }
             IdentityRow {
@@ -574,13 +562,10 @@ fn measure_identity(params: &FederationParams) -> Vec<IdentityRow> {
 
 /// Run the full federation-scale experiment.
 pub fn run_federation_scale(params: &FederationParams) -> FederationResult {
-    // Pure incremental maintenance, so the source-touch counter isolates
-    // the root path (an anti-drift rebuild would touch every source).
-    let store = || Store::with_rebuild_rounds(0);
     let baseline = measure_throughput(&SeedStore::new(), params, true);
-    let throughput = measure_throughput(&store(), params, true);
+    let throughput = measure_throughput(&Store::new(), params, true);
     let replace_only_baseline = measure_throughput(&SeedStore::new(), params, false);
-    let replace_only = measure_throughput(&store(), params, false);
+    let replace_only = measure_throughput(&Store::new(), params, false);
     let latency = measure_latency(params);
     let levels = measure_levels(params);
     let identity = measure_identity(params);
@@ -650,7 +635,7 @@ mod tests {
     fn seed_store_replica_matches_incremental_arithmetic() {
         let params = FederationParams::tiny();
         let seed = SeedStore::new();
-        let incremental = Store::with_rebuild_rounds(0);
+        let incremental = Store::new();
         populate(&seed, params.grids, &params, 7);
         populate(&incremental, params.grids, &params, 7);
         assert_eq!(seed.refresh_root(), incremental.root_summary().hosts_up);

@@ -197,8 +197,8 @@ pub fn run_serving(params: ServingParams) -> ServingResult {
 pub struct IsolationResult {
     /// Good-client p99 with the port to themselves.
     pub baseline_p99_us: u64,
-    /// Good-client p99 while `stalled_clients` connections sit on the
-    /// pool sending nothing.
+    /// Good-client p99 while `stalled_clients` connections, parked
+    /// before the good clients connect, sit on the pool sending nothing.
     pub contended_p99_us: u64,
     pub stalled_clients: usize,
     /// Connections the server evicted on a read/write deadline.
@@ -257,36 +257,32 @@ pub fn run_slow_client_isolation(
     };
 
     let baseline_p99_us = measure("baseline");
-    // Park `stalled_clients` connections on the pool: they complete the
-    // TCP handshake, then send nothing. Each pins one worker until the
-    // read deadline evicts it; the client keeps re-connecting, so the
-    // pressure is sustained for the whole measurement.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let socket_addr: std::net::SocketAddr = addr.as_str().parse().unwrap();
-    let contended_p99_us = std::thread::scope(|scope| {
-        for _ in 0..stalled_clients {
-            let stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let mut parked: Vec<TcpStream> = Vec::new();
-                while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-                    if let Ok(stream) = TcpStream::connect_timeout(&socket_addr, timeout) {
-                        parked.push(stream);
-                        if parked.len() > 8 {
-                            parked.remove(0); // rotate so evicted sockets are replaced
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            });
-        }
-        let p99 = measure("contended");
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        p99
-    });
-    let evictions = registry
-        .snapshot()
-        .counter("serve.evicted_total")
-        .unwrap_or(0);
+    // Park the stalled peers before any good client connects: they
+    // complete the handshake and send nothing, so the pool hands them
+    // workers first and each pins one until the read deadline evicts
+    // it. Good clients queued behind them wait for that eviction (a
+    // keep-alive session holds its worker until the client closes).
+    let socket_addr: std::net::SocketAddr = addr.as_str().parse().expect("a bound address");
+    let window = Instant::now();
+    let parked: Vec<TcpStream> = (0..stalled_clients)
+        .map(|_| TcpStream::connect_timeout(&socket_addr, timeout).expect("connect a stalled peer"))
+        .collect();
+    let contended_p99_us = measure("contended");
+    // Hold the window for two deadlines, then wait for the evictions to
+    // be counted: the counter moves when a worker gives up on its peer.
+    std::thread::sleep((2 * stall_deadline).saturating_sub(window.elapsed()));
+    let evicted = || {
+        registry
+            .snapshot()
+            .counter("serve.evicted_total")
+            .unwrap_or(0)
+    };
+    let give_up = Instant::now() + timeout;
+    while evicted() < stalled_clients as u64 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let evictions = evicted();
+    drop(parked);
     IsolationResult {
         baseline_p99_us,
         contended_p99_us,
@@ -324,6 +320,8 @@ mod tests {
     #[test]
     fn slow_clients_do_not_wedge_the_pool() {
         let result = run_slow_client_isolation(4, 25, 2);
+        // Every parked peer cost its worker one deadline, then went.
+        assert!(result.evictions >= 2, "{result:?}");
         // The keep-alive clients all finished (measure asserts each
         // response), and their p99 stayed far from the 5 s client
         // timeout a wedged port would produce.

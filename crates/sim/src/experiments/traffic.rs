@@ -58,11 +58,6 @@ pub fn run_traffic(hosts_per_cluster: usize, rounds: u64, seed: u64) -> TrafficR
                 full_dump_links,
                 seed,
                 archive: false, // pure traffic measurement
-                // One worker only because the root's incrementally
-                // kept reduction depends on the order sources install
-                // (ROADMAP item 11): in config order it sums them alike
-                // on both link modes.
-                poll_concurrency: 1,
                 ..DeploymentParams::default()
             },
         )

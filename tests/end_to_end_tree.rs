@@ -168,3 +168,26 @@ fn upstream_traffic_is_bounded_by_summaries() {
         "ucsd served {n_bytes} bytes upstream under N-level vs {one_bytes} under 1-level"
     );
 }
+
+#[test]
+fn same_seed_deployments_render_identically_under_parallel_polling() {
+    // Default params: every monitor polls its sources on automatic poll
+    // workers, so sources reach each store in a different order run to
+    // run. The renders, the root reduction included, must not care.
+    let build = || Deployment::build(fig2_tree(10), DeploymentParams::default());
+    let (mut first, mut second) = (build(), build());
+    for round in 0..12 {
+        first.run_round();
+        second.run_round();
+        for monitor in &first.tree().monitors {
+            for request in ["/", "/?filter=summary"] {
+                assert!(
+                    first.monitor(&monitor.name).query(request)
+                        == second.monitor(&monitor.name).query(request),
+                    "round {round}: {} renders {request} differently",
+                    monitor.name
+                );
+            }
+        }
+    }
+}

@@ -117,13 +117,9 @@ fn metric(xml: &mut String, name: &str, val: &str, ty: &str) {
 }
 
 fn gmetad(name: &str, mode: TreeMode, full_dump_links: bool, sources: &[&str]) -> Arc<Gmetad> {
-    // One poll worker only because a daemon's incrementally kept root
-    // reduction depends on the order sources install (ROADMAP item 11):
-    // in config order it sums them alike on both parents.
     let mut config = GmetadConfig::new(name)
         .with_mode(mode)
         .with_full_dump_links(full_dump_links)
-        .with_poll_concurrency(1)
         .with_archive(ArchiveMode::InMemory)
         .with_lifecycle(LifecyclePolicy {
             down_after_secs: 20,
